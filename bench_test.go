@@ -12,6 +12,8 @@ package pqsda
 
 import (
 	"bytes"
+	"context"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -167,6 +169,44 @@ var (
 	benchArenaOnce   sync.Once
 	benchArenaEngine *core.Engine
 )
+
+// BenchmarkColdMiss is one suggestion-cache miss with nothing to lean
+// on: the suggestion cache is bypassed and the servable queries cycled
+// outnumber the compact cache (128 entries, LRU), so every iteration
+// carves a compact, builds and solves the Eq. 15 system, builds a
+// walker and selects. `make bench-guard` pins its allocations per
+// request: the miss path works in pooled scratch and allocates little
+// more than what it returns.
+func BenchmarkColdMiss(b *testing.B) {
+	e, _ := componentFixture(b)
+	now := time.Now()
+	freq := e.Log().QueryFrequency()
+	known := make([]string, 0, len(freq))
+	for q := range freq {
+		known = append(known, q)
+	}
+	sort.Strings(known)
+	var qs []string
+	for _, q := range known {
+		if _, err := e.Do(context.Background(), core.SuggestRequest{Query: q, At: now, K: 10, NoCache: true}); err == nil {
+			qs = append(qs, q)
+		}
+	}
+	if len(qs) < 256 {
+		b.Fatalf("only %d servable queries; the compact cache would hit", len(qs))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := e.Do(context.Background(), core.SuggestRequest{Query: qs[i%len(qs)], At: now, K: 10, NoCache: true})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.CacheHit {
+			b.Fatal("suggestion cache hit on a NoCache request")
+		}
+	}
+}
 
 // BenchmarkSuggestPersonalized measures the full pipeline per query.
 func BenchmarkSuggestPersonalized(b *testing.B) {

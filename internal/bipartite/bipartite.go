@@ -59,11 +59,11 @@ type Representation struct {
 	// Weighting records how W was weighted.
 	Weighting Weighting
 
-	// avgTransition memoizes AverageTransition: it touches the whole
-	// graph and is reused by every BuildCompact call. avgOnce makes the
-	// lazy computation safe under concurrent suggestion serving.
-	avgOnce       sync.Once
-	avgTransition *sparse.Matrix
+	// walkWT memoizes walkFactors, the per-view factors every
+	// BuildCompact call walks over; walkOnce makes the lazy computation
+	// safe under concurrent suggestion serving.
+	walkOnce sync.Once
+	walkWT   [NumViews]sparse.CSRView
 
 	// wT memoizes WTransposed per view (object→query adjacency), used on
 	// the unknown-query fallback path of every cold request.
@@ -117,28 +117,6 @@ func (r *Representation) IQF(v View, o int) float64 {
 	return math.Log(float64(r.Queries.Len()) / float64(n))
 }
 
-// QueryTransition returns the query→query transition matrix of view v:
-// the two-step walk query → object → query, row-normalized. This is the
-// p^X(q_a|q_b) of Section IV-C.
-func (r *Representation) QueryTransition(v View) *sparse.Matrix {
-	w := r.W[v].RowNormalized()
-	wt := r.W[v].Transpose().RowNormalized()
-	return sparse.MulMat(w, wt)
-}
-
-// Affinity returns W^X W^Xᵀ for view v — the query–query affinity the
-// regularization framework's smoothness constraint uses (Eq. 9).
-func (r *Representation) Affinity(v View) *sparse.Matrix {
-	return sparse.MulMat(r.W[v], r.W[v].Transpose())
-}
-
-// NormalizedAffinity returns L^X = D^{-1/2} (W Wᵀ) D^{-1/2} where D is
-// the diagonal of row sums of W Wᵀ (Eq. 13). Rows with zero sum stay
-// zero. Its eigenvalues lie in [−1, 1], making Eq. 15's system SPD.
-func (r *Representation) NormalizedAffinity(v View) *sparse.Matrix {
-	return normalizedAffinityOf(r.W[v])
-}
-
 // NumQueries returns the size of the query node space.
 func (r *Representation) NumQueries() int { return r.Queries.Len() }
 
@@ -146,27 +124,6 @@ func (r *Representation) NumQueries() int { return r.Queries.Len() }
 // node ID.
 func (r *Representation) QueryID(rawQuery string) (int, bool) {
 	return r.Queries.Lookup(querylog.NormalizeQuery(rawQuery))
-}
-
-// AverageTransition returns the mean of the three views' query→query
-// transition matrices — the uniform cross-view walk used for compact-
-// representation expansion. The result is computed once and memoized
-// (the representation is immutable after Build); callers must not
-// mutate it.
-func (r *Representation) AverageTransition() *sparse.Matrix {
-	r.avgOnce.Do(func() {
-		var acc *sparse.Matrix
-		for v := 0; v < NumViews; v++ {
-			t := r.QueryTransition(View(v))
-			if acc == nil {
-				acc = t.Scale(1.0 / NumViews)
-			} else {
-				acc = sparse.Add(acc, t, 1.0/NumViews)
-			}
-		}
-		r.avgTransition = acc
-	})
-	return r.avgTransition
 }
 
 // WTransposed returns the object→query adjacency W[v]ᵀ, computed once

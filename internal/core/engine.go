@@ -186,7 +186,11 @@ type Result struct {
 }
 
 // ErrUnknownQuery is returned when the input query has no node in the
-// representation and shares no term with any known query.
+// representation and shares no term with any known query — and also for
+// a logged query with no neighbour in any view (alone in its session,
+// no clicked URL and no term that another query shares): the carve
+// around it is a singleton, there is nothing to suggest, and such a
+// query is unservable by contract rather than by accident.
 var ErrUnknownQuery = errors.New("core: query unknown to the log representation")
 
 // NewEngine builds the representation from the log and, unless

@@ -2,6 +2,9 @@ package core
 
 import (
 	"bytes"
+	"errors"
+	"slices"
+	"sort"
 	"testing"
 	"time"
 
@@ -12,7 +15,11 @@ import (
 
 // A log with no clicks at all: the URL view is empty, yet the engine
 // must still diversify through the session and term views (the
-// multi-bipartite robustness claim of Section III).
+// multi-bipartite robustness claim of Section III) — for every logged
+// query that has a neighbour there. A query alone in its session whose
+// terms occur in no other query has no neighbour in any view; it is
+// unservable by contract (see ErrUnknownQuery), and this world has
+// exactly three of them.
 func TestEngineClicklessLog(t *testing.T) {
 	w := synth.Generate(synth.Config{Seed: 71, NumFacets: 4, NumUsers: 8, SessionsPerUser: 12})
 	stripped := &querylog.Log{}
@@ -27,17 +34,47 @@ func TestEngineClicklessLog(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q := ""
-	for s := range stripped.QueryFrequency() {
-		q = s
-		break
+	rep := e.Rep()
+	hasNeighbour := func(q int) bool {
+		for v := 0; v < bipartite.NumViews; v++ {
+			shared := false
+			wt := rep.WTransposed(bipartite.View(v))
+			rep.W[v].Row(q, func(o int, _ float64) {
+				shared = shared || wt.RowNNZ(o) > 1
+			})
+			if shared {
+				return true
+			}
+		}
+		return false
 	}
-	res, err := e.SuggestDiversified(q, nil, time.Now(), 5)
-	if err != nil {
-		t.Fatalf("clickless log cannot suggest: %v", err)
+	var queries []string
+	for q := range stripped.QueryFrequency() {
+		queries = append(queries, q)
 	}
-	if len(res.Diversified) == 0 {
-		t.Fatal("no suggestions from session/term views alone")
+	sort.Strings(queries)
+	var isolated []string
+	for _, q := range queries {
+		id, ok := rep.QueryID(q)
+		if !ok {
+			t.Fatalf("logged query %q has no node", q)
+		}
+		res, err := e.SuggestDiversified(q, nil, time.Now(), 5)
+		if !hasNeighbour(id) {
+			isolated = append(isolated, q)
+			if !errors.Is(err, ErrUnknownQuery) {
+				t.Errorf("isolated query %q: err = %v, want ErrUnknownQuery", q, err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("clickless log cannot suggest for %q: %v", q, err)
+		} else if len(res.Diversified) == 0 {
+			t.Errorf("no suggestions for %q from session/term views alone", q)
+		}
+	}
+	if want := []string{"hefe", "topewomo", "vepu getonipa"}; !slices.Equal(isolated, want) {
+		t.Errorf("isolated queries = %q, want %q", isolated, want)
 	}
 }
 

@@ -11,6 +11,7 @@ package hittingtime
 import (
 	"context"
 	"runtime"
+	"slices"
 	"sync"
 
 	"repro/internal/bipartite"
@@ -154,21 +155,12 @@ func NewWalker(c *bipartite.Compact, cfg Config) *Walker {
 	// Rows come out in ascending order and the accumulator scan emits
 	// columns sorted, so the CSR arrays are assembled directly —
 	// profiling showed the Builder's triplet buffering and sort costing
-	// more than the scatter arithmetic itself. The scatter's flop count
-	// bounds the output nnz, so one pass over the structure sizes the
-	// arrays up front and append never reallocates.
-	bound := 0
-	for _, vs := range views {
-		for _, o := range vs.w.ColIdx {
-			bound += vs.wt.RowPtr[o+1] - vs.wt.RowPtr[o]
-		}
-	}
-	if max := n * n; bound > max {
-		bound = max
-	}
+	// more than the scatter arithmetic itself. They grow in pooled
+	// staging (the nnz is only known at the end; its n² bound is twice
+	// the typical figure) and are copied out at their exact size.
+	st := stagingPool.Get().(*transStaging)
+	colIdx, vals := st.colIdx[:0], st.vals[:0]
 	rowPtr := make([]int, n+1)
-	colIdx := make([]int, 0, bound)
-	vals := make([]float64, 0, bound)
 	acc := make([]float64, n)
 	rowSum := make([]float64, n)
 	dangling := make([]float64, n)
@@ -204,14 +196,11 @@ func NewWalker(c *bipartite.Compact, cfg Config) *Walker {
 			// summing in emit order matches Matrix.RowSum's loop exactly,
 			// so rowSum and dangling are bit-identical to the previous
 			// post-hoc RowSum/DanglingMass passes.
+			from := len(vals)
+			colIdx, vals = sparse.AppendNonzeros(acc, colIdx, vals)
 			rs := 0.0
-			for j := 0; j < n; j++ {
-				if acc[j] != 0 {
-					colIdx = append(colIdx, j)
-					vals = append(vals, acc[j])
-					rs += acc[j]
-					acc[j] = 0
-				}
+			for _, v := range vals[from:] {
+				rs += v
 			}
 			rowSum[i] = rs
 		}
@@ -220,9 +209,21 @@ func NewWalker(c *bipartite.Compact, cfg Config) *Walker {
 		}
 		rowPtr[i+1] = len(colIdx)
 	}
+	st.colIdx, st.vals = colIdx, vals
+	colIdx, vals = slices.Clone(colIdx), slices.Clone(vals)
+	stagingPool.Put(st)
 	trans := sparse.FromCSR(n, n, rowPtr, colIdx, vals)
 	return &Walker{cfg: cfg, trans: trans, rowSum: rowSum, dangling: dangling}
 }
+
+// transStaging is where NewWalker grows a transition's CSR arrays
+// before copying them out.
+type transStaging struct {
+	colIdx []int
+	vals   []float64
+}
+
+var stagingPool = sync.Pool{New: func() any { return new(transStaging) }}
 
 // walkerKey identifies one prepared walker in a compact's derived-value
 // memo: the walker is a pure function of the compact and the (defaulted)
@@ -261,6 +262,10 @@ type selectScratch struct {
 	sweep  randomwalk.SweepScratch
 	inS    []bool
 	banned []bool
+	listed []bool // already in candidates
+	// candidates are the compact-local indices the greedy argmax ranges
+	// over, in tie-breaking order.
+	candidates []int
 }
 
 var selectPool = sync.Pool{New: func() any { return new(selectScratch) }}
@@ -271,13 +276,15 @@ func (sc *selectScratch) reset(n int) {
 	if cap(sc.inS) < n {
 		sc.inS = make([]bool, n)
 		sc.banned = make([]bool, n)
+		sc.listed = make([]bool, n)
 	}
 	sc.inS = sc.inS[:n]
 	sc.banned = sc.banned[:n]
-	for i := range sc.inS {
-		sc.inS[i] = false
-		sc.banned[i] = false
-	}
+	sc.listed = sc.listed[:n]
+	clear(sc.inS)
+	clear(sc.banned)
+	clear(sc.listed)
+	sc.candidates = sc.candidates[:0]
 }
 
 // HittingTime returns the truncated expected hitting time of every
@@ -293,7 +300,7 @@ func (w *Walker) HittingTime(s map[int]bool) []float64 {
 			sc.inS[i] = true
 		}
 	}
-	h, _ := w.hit(sc)
+	h, _ := w.hit(sc, nil)
 	return append([]float64(nil), h...)
 }
 
@@ -310,16 +317,18 @@ func (w *Walker) effectiveWorkers() int {
 	return w.cfg.Workers
 }
 
-// hit runs one truncated hitting-time sweep with the walker's
+// hit runs one truncated hitting-time computation with the walker's
 // precomputed dangling mass and the scratch's membership mask,
 // returning the (scratch-aliased) hitting times and the sweeps run.
-func (w *Walker) hit(sc *selectScratch) ([]float64, int) {
+// A non-nil rows lists the only entries the caller reads.
+func (w *Walker) hit(sc *selectScratch, rows []int) ([]float64, int) {
 	return randomwalk.TruncatedHittingTimeFlat(w.trans, sc.inS, randomwalk.HittingTimeOpts{
 		Steps:     w.cfg.Iterations,
 		Tol:       w.cfg.Tolerance,
 		Workers:   w.effectiveWorkers(),
 		Dangling:  w.dangling,
 		Scratch:   &sc.sweep,
+		Rows:      rows,
 		Precision: w.cfg.Precision,
 	})
 }
@@ -382,21 +391,23 @@ func (w *Walker) SelectDiverseCtx(ctx context.Context, first int, k int, exclude
 			sc.banned[e] = true
 		}
 	}
-	candidates := make([]int, 0, n)
+	// rows tells the sweep kernel which hitting times are read: the
+	// pool's, or (nil) everyone's when candidacy is unrestricted.
+	var rows []int
 	if pool != nil {
-		seen := make(map[int]bool, len(pool))
 		for _, p := range pool {
-			if p >= 0 && p < n && !seen[p] {
-				seen[p] = true
-				candidates = append(candidates, p)
+			if p >= 0 && p < n && !sc.listed[p] {
+				sc.listed[p] = true
+				sc.candidates = append(sc.candidates, p)
 			}
 		}
-		if !seen[first] {
-			candidates = append(candidates, first)
+		if !sc.listed[first] {
+			sc.candidates = append(sc.candidates, first)
 		}
+		rows = sc.candidates
 	} else {
 		for i := 0; i < n; i++ {
-			candidates = append(candidates, i)
+			sc.candidates = append(sc.candidates, i)
 		}
 	}
 	selected = []int{first}
@@ -405,11 +416,11 @@ func (w *Walker) SelectDiverseCtx(ctx context.Context, first int, k int, exclude
 		if err := ctx.Err(); err != nil {
 			return selected, err
 		}
-		h, iters := w.hit(sc)
+		h, iters := w.hit(sc, rows)
 		rounds++
 		walkSteps += iters
 		best, bestH := -1, -1.0
-		for _, i := range candidates {
+		for _, i := range sc.candidates {
 			if sc.inS[i] || sc.banned[i] {
 				continue
 			}

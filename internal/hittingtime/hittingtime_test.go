@@ -37,7 +37,7 @@ func TestWalkerCrossViewWeights(t *testing.T) {
 	// Degenerate teleport: everything through the term view only.
 	only := Config{CrossView: [bipartite.NumViews]float64{0, 0, 1}}
 	wk := NewWalker(c, only)
-	term := c.QueryTransition(bipartite.ViewTerm)
+	term := refViewTransitions(c)[bipartite.ViewTerm]
 	tr := wk.Transition()
 	for i := 0; i < tr.Rows(); i++ {
 		if term.RowNNZ(i) == 0 {

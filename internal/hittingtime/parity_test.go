@@ -13,7 +13,7 @@ import (
 
 // TestFusedConstructionMatchesReference pins the fused one-pass walker
 // construction against the reference pipeline built from the public
-// bipartite/sparse APIs (per-view QueryTransition, ScaleSym by the
+// sparse APIs (per-view two-step transitions, ScaleSym by the
 // renormalized cross-view weight, Add): identical structure and values
 // to 1e-12, plus bit-identical precomputed row sums and dangling mass
 // versus the post-hoc RowSum/DanglingMass derivations they replaced.
@@ -32,9 +32,10 @@ func TestFusedConstructionMatchesReference(t *testing.T) {
 		name string
 		c    *bipartite.Compact
 	}{{"small", small}, {"big", big}} {
+		per := refViewTransitions(fix.c)
 		for _, tc := range cases {
 			t.Run(fix.name+"/"+tc.name, func(t *testing.T) {
-				want := seedNewWalker(fix.c, tc.cfg)
+				want := seedNewWalker(per, tc.cfg)
 				wk := NewWalker(fix.c, tc.cfg)
 				got := wk.Transition()
 				if !sparse.Equal(got, want, 1e-12) {
@@ -91,7 +92,7 @@ func TestSelectDiverseMatchesSeedGreedy(t *testing.T) {
 	}{{"small", small}, {"big", benchCompact(t)}} {
 		t.Run(fix.name, func(t *testing.T) {
 			wk := NewWalker(fix.c, Config{Tolerance: -1}) // seed has no early exit
-			want := seedSelect(seedNewWalker(fix.c, Config{}), 10, 1, 10, []int{0})
+			want := seedSelect(seedNewWalker(refViewTransitions(fix.c), Config{}), 10, 1, 10, []int{0})
 			got := wk.SelectDiverse(1, 10, []int{0}, nil)
 			if len(got) != len(want) {
 				t.Fatalf("selected %d, seed selected %d", len(got), len(want))
@@ -194,5 +195,69 @@ func TestWalkStepsMetricCountsExecutedSweeps(t *testing.T) {
 	}
 	if math.Mod(steps, 1) != 0 {
 		t.Fatalf("walkSteps %v not integral", steps)
+	}
+}
+
+// allRowsSelect is Algorithm 1's greedy loop over hitting times computed
+// at every node (Rows nil), ranging over pool in order and then first —
+// what SelectDiverse did before it told the kernel which rows it reads.
+func allRowsSelect(wk *Walker, first, k int, excluded, pool []int) []int {
+	n := wk.trans.Rows()
+	inS, banned := make([]bool, n), make([]bool, n)
+	for _, e := range excluded {
+		banned[e] = true
+	}
+	candidates := append(append([]int(nil), pool...), first)
+	selected := []int{first}
+	inS[first] = true
+	for len(selected) < k {
+		h, _ := randomwalk.TruncatedHittingTimeFlat(wk.trans, inS, randomwalk.HittingTimeOpts{
+			Steps: wk.cfg.Iterations, Tol: wk.cfg.Tolerance, Dangling: wk.dangling,
+		})
+		best, bestH := -1, -1.0
+		for _, i := range candidates {
+			if !inS[i] && !banned[i] && h[i] > bestH {
+				best, bestH = i, h[i]
+			}
+		}
+		if best < 0 {
+			break
+		}
+		selected = append(selected, best)
+		inS[best] = true
+	}
+	return selected
+}
+
+// TestSelectDiversePoolMatchesAllRows: restricting the last sweep of
+// every round to the pool's rows leaves the selected list unchanged, at
+// every truncation depth and tolerance the shortcut distinguishes, with
+// duplicate pool entries and a first candidate outside the pool.
+func TestSelectDiversePoolMatchesAllRows(t *testing.T) {
+	_, _, small := compactFixture(t)
+	for _, fix := range []struct {
+		name string
+		c    *bipartite.Compact
+	}{{"small", small}, {"big", benchCompact(t)}} {
+		n := fix.c.Size()
+		var pool []int
+		for i := 2; i < n && len(pool) < 30; i += 2 {
+			pool = append(pool, i)
+		}
+		for _, tol := range []float64{-1, 1e-9, 1e-2} {
+			for _, depth := range []int{1, 2, 10} {
+				wk := NewWalker(fix.c, Config{Iterations: depth, Tolerance: tol})
+				want := allRowsSelect(wk, 1, 10, []int{0}, pool)
+				got := wk.SelectDiverse(1, 10, []int{0}, append(append([]int(nil), pool...), pool[0], -3, n))
+				if len(got) != len(want) {
+					t.Fatalf("%s tol %v depth %d: selected %v, all-rows %v", fix.name, tol, depth, got, want)
+				}
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("%s tol %v depth %d: selected %v, all-rows %v", fix.name, tol, depth, got, want)
+					}
+				}
+			}
+		}
 	}
 }

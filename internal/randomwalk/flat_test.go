@@ -218,3 +218,86 @@ func TestDanglingMass(t *testing.T) {
 		}
 	}
 }
+
+// allRowsSweeps is the recursion the kernel ran before it learned to
+// skip known work: every sweep, the first included, computes every row
+// from the previous vector. It is the oracle the shortcut sweeps are
+// held to bit for bit.
+func allRowsSweeps(trans *sparse.Matrix, inS []bool, steps int, tol float64) ([]float64, int) {
+	n := trans.Rows()
+	h, next := make([]float64, n), make([]float64, n)
+	dangling := DanglingMass(trans)
+	iters := 0
+	for t := 0; t < steps; t++ {
+		maxDiff := sweepRange(0, n, trans.View(), dangling, inS, h, next)
+		h, next = next, h
+		iters = t + 1
+		if tol > 0 && maxDiff <= tol {
+			break
+		}
+	}
+	return h, iters
+}
+
+// TestShortcutSweepsBitIdentical: the closed-form first sweep and the
+// candidate-rows-only last sweep change no value anyone reads and no
+// sweep count — with the early exit off, armed but silent, and firing;
+// at depth 1 (first sweep is the last), 2 (nothing in between) and 10;
+// with nobody, somebody and everybody in S.
+func TestShortcutSweepsBitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	for _, fix := range []struct {
+		name       string
+		n, isolate int
+	}{{"connected", 90, 0}, {"unreachable-block", 150, 30}, {"absorbing", 60, 0}} {
+		trans := randTransition(rng, fix.n, 6, fix.isolate)
+		if fix.name == "absorbing" {
+			// Every row sends 90 % of its mass straight to node 0, which
+			// every nonempty S below contains: the change shrinks tenfold
+			// per sweep and the 1e-2 exit fires well within 10.
+			b := sparse.NewBuilder(fix.n, fix.n)
+			for i := 0; i < fix.n; i++ {
+				b.Add(i, 0, 0.9)
+				b.Add(i, 1+rng.Intn(fix.n-1), 0.1)
+			}
+			trans = b.Build()
+		}
+		rows := make([]int, 0, 25)
+		for len(rows) < cap(rows) {
+			rows = append(rows, rng.Intn(fix.n))
+		}
+		for _, sSize := range []int{0, 3, fix.n} {
+			inS := make([]bool, fix.n)
+			for _, i := range rng.Perm(fix.n)[:sSize] {
+				inS[i] = true
+			}
+			inS[0] = sSize > 0
+			for _, tol := range []float64{-1, 1e-9, 1e-2} {
+				for _, steps := range []int{1, 2, 10} {
+					want, wantIters := allRowsSweeps(trans, inS, steps, tol)
+					if fix.name == "absorbing" && tol == 1e-2 && steps == 10 && sSize == 3 && wantIters == steps {
+						t.Fatalf("%s: early exit never fired; the fixture no longer covers it", fix.name)
+					}
+					full, iters := TruncatedHittingTimeFlat(trans, inS, HittingTimeOpts{Steps: steps, Tol: tol})
+					if iters != wantIters {
+						t.Fatalf("%s |S|=%d tol %v steps %d: %d sweeps, all-rows oracle %d", fix.name, sSize, tol, steps, iters, wantIters)
+					}
+					for i := range want {
+						if full[i] != want[i] {
+							t.Fatalf("%s |S|=%d tol %v steps %d: h[%d] = %v, oracle %v", fix.name, sSize, tol, steps, i, full[i], want[i])
+						}
+					}
+					part, iters := TruncatedHittingTimeFlat(trans, inS, HittingTimeOpts{Steps: steps, Tol: tol, Rows: rows, Scratch: &SweepScratch{}})
+					if iters != wantIters {
+						t.Fatalf("%s |S|=%d tol %v steps %d: %d sweeps with Rows, oracle %d", fix.name, sSize, tol, steps, iters, wantIters)
+					}
+					for _, i := range rows {
+						if part[i] != want[i] {
+							t.Fatalf("%s |S|=%d tol %v steps %d: with Rows h[%d] = %v, oracle %v", fix.name, sSize, tol, steps, i, part[i], want[i])
+						}
+					}
+				}
+			}
+		}
+	}
+}

@@ -225,6 +225,15 @@ type HittingTimeOpts struct {
 	// Scratch provides the sweep's two n-vectors. Nil allocates fresh
 	// ones.
 	Scratch *SweepScratch
+	// Rows, when non-nil, names the only entries of the result the
+	// caller will read (the greedy loop reads its candidate pool, a
+	// fraction of the graph). The kernel may then leave every other
+	// entry undefined; it uses that in the one sweep whose output
+	// feeds neither a later sweep nor the convergence test — the last
+	// of a full-depth run — and computes just these rows there. The
+	// listed entries and the sweep count are exactly those of a nil
+	// Rows run. Indices must lie in [0, n).
+	Rows []int
 	// Precision selects the sweep arithmetic. Float32 runs the inner
 	// loop on the matrix's float32 value mirror at half the memory
 	// traffic; the returned hitting times are widened back to float64.
@@ -240,8 +249,9 @@ type HittingTimeOpts struct {
 // vector and the raw CSR arrays, with caller-owned scratch, precomputed
 // dangling mass, optional worker-parallel sweeps and an optional early
 // convergence exit. It returns the hitting-time vector (aliasing
-// opts.Scratch when provided) and the number of sweeps actually run
-// (= opts.Steps unless the early exit fired).
+// opts.Scratch when provided; restricted to opts.Rows when those are
+// given) and the number of sweeps actually run (= opts.Steps unless the
+// early exit fired).
 func TruncatedHittingTimeFlat(trans *sparse.Matrix, inS []bool, opts HittingTimeOpts) ([]float64, int) {
 	n := trans.Rows()
 	if len(inS) != n {
@@ -269,9 +279,17 @@ func TruncatedHittingTimeFlat(trans *sparse.Matrix, inS []bool, opts HittingTime
 	iters := 0
 	for t := 0; t < opts.Steps; t++ {
 		var maxDiff float64
-		if parallel {
+		switch {
+		case t == 0:
+			maxDiff = firstSweep(inS, next)
+		case parallel:
 			maxDiff = sweepParallel(view, dangling, inS, h, next, workers)
-		} else {
+		case t == opts.Steps-1 && opts.Rows != nil:
+			// Nothing reads maxDiff after the last sweep.
+			for _, i := range opts.Rows {
+				sweepRange(i, i+1, view, dangling, inS, h, next)
+			}
+		default:
 			maxDiff = sweepRange(0, n, view, dangling, inS, h, next)
 		}
 		h, next = next, h
@@ -282,6 +300,23 @@ func TruncatedHittingTimeFlat(trans *sparse.Matrix, inS []bool, opts HittingTime
 	}
 	scratch.h, scratch.next = h, next
 	return h, iters
+}
+
+// firstSweep is the sweep from h₀ = 0 without the arithmetic: every
+// product with h₀ vanishes, so a node outside S gets exactly 1 and a
+// node in S stays 0 — the values sweepRange computes (1 + 0, dangling
+// mass times 0 added) and the max change it reports.
+func firstSweep(inS []bool, next []float64) float64 {
+	maxDiff := 0.0
+	for i, in := range inS {
+		if in {
+			next[i] = 0
+		} else {
+			next[i] = 1
+			maxDiff = 1
+		}
+	}
+	return maxDiff
 }
 
 // hittingTimeFlat32 is the float32 sweep body: the identical recursion

@@ -245,39 +245,6 @@ func argmaxExcluding(f []float64, seeds []int) int {
 	return best
 }
 
-// systemKey identifies one Eq. 15 coefficient matrix in a compact's
-// derived-value memo: the system depends on the compact and the α
-// vector only.
-type systemKey struct {
-	alpha [bipartite.NumViews]float64
-}
-
-// System materializes the Eq. 15 coefficient matrix
-// (1+Σα)I − Σ α^X L^X on the compact representation. The matrix is a
-// pure function of (compact, α), so it is memoized on the compact:
-// repeated solves on a cached compact — the common case once the
-// engine reuses compacts across requests — pay for the SpGEMM chain
-// exactly once.
-func System(c *bipartite.Compact, cfg Config) *sparse.Matrix {
-	cfg = cfg.withDefaults()
-	return c.Derived(systemKey{alpha: cfg.Alpha}, func() any {
-		n := c.Size()
-		sumAlpha := 0.0
-		for _, a := range cfg.Alpha {
-			sumAlpha += a
-		}
-		acc := sparse.ScaledIdentity(n, 1+sumAlpha)
-		for v := 0; v < bipartite.NumViews; v++ {
-			if cfg.Alpha[v] == 0 {
-				continue
-			}
-			l := c.NormalizedAffinity(bipartite.View(v))
-			acc = sparse.Add(acc, l, -cfg.Alpha[v])
-		}
-		return acc
-	}).(*sparse.Matrix)
-}
-
 // Rank returns all non-seed compact-local indices ordered by descending
 // F* — a full relevance-oriented ranking, used by ablation benches.
 func (r Result) Rank(seeds []int) []int {

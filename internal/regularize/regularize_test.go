@@ -129,11 +129,17 @@ func TestSystemSPDStructure(t *testing.T) {
 			}
 		})
 	}
-	// Diagonal dominance-ish: diagonal = 1+Σα − α·L_ii ≥ 1 since L_ii ≤ 1.
+	// Diagonal dominance-ish: diagonal = 1+Σα − α·L_ii ≥ 1 since L_ii ≤ 1,
+	// and |L_ij| ≤ 1 bounds every off-diagonal entry by Σα (0.3 by default).
 	for i := 0; i < n; i++ {
 		if a.At(i, i) < 1-1e-9 {
 			t.Errorf("diagonal %d = %v < 1", i, a.At(i, i))
 		}
+		a.Row(i, func(j int, v float64) {
+			if j != i && math.Abs(v) > 0.3+1e-9 {
+				t.Errorf("off-diagonal (%d,%d) = %v exceeds Σα", i, j, v)
+			}
+		})
 	}
 }
 

@@ -11,6 +11,7 @@ package sparse
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -292,6 +293,27 @@ func FromCSRChecked(rows, cols int, rowPtr, colIdx []int, val []float64) (*Matri
 		}
 	}
 	return &Matrix{rows: rows, cols: cols, rowPtr: rowPtr, colIdx: colIdx, val: val}, nil
+}
+
+// AppendNonzeros appends the nonzero entries of the dense row to the CSR
+// column and value arrays, columns ascending, zeroes the row and
+// returns the grown arrays — the emit step of a Gustavson product whose
+// column count is small enough to scan (compact representations). Such
+// rows are around half full, so a test per entry mispredicts every
+// other time; instead every entry is stored at the write position, and
+// the position advances by one exactly when the entry is nonzero (±0,
+// and only ±0, shift out of the bit pattern).
+func AppendNonzeros(row []float64, colIdx []int, val []float64) ([]int, []float64) {
+	k := len(colIdx)
+	colIdx = slices.Grow(colIdx, len(row))[:k+len(row)]
+	val = slices.Grow(val, len(row))[:k+len(row)]
+	for j, a := range row {
+		colIdx[k], val[k] = j, a
+		bits := math.Float64bits(a) << 1
+		k += int((bits | -bits) >> 63)
+	}
+	clear(row)
+	return colIdx[:k], val[:k]
 }
 
 // RowNNZ returns the number of stored entries in row r.

@@ -276,3 +276,32 @@ func TestPropertyRowNormalized(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+func TestAppendNonzeros(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	row := []float64{0, 2.5, negZero, -1, 0, math.NaN(), 5e-324}
+	colIdx, val := []int{9}, []float64{7}
+	colIdx, val = AppendNonzeros(row, colIdx, val)
+	wantCols := []int{9, 1, 3, 5, 6}
+	if len(colIdx) != len(wantCols) || len(val) != len(wantCols) {
+		t.Fatalf("appended to %v / %v, want columns %v", colIdx, val, wantCols)
+	}
+	for i, c := range wantCols {
+		if colIdx[i] != c {
+			t.Fatalf("columns %v, want %v", colIdx, wantCols)
+		}
+	}
+	if val[0] != 7 || val[1] != 2.5 || val[2] != -1 || !math.IsNaN(val[3]) || val[4] != 5e-324 {
+		t.Fatalf("values %v", val)
+	}
+	for j, a := range row {
+		if a != 0 || math.Signbit(a) {
+			t.Fatalf("row[%d] = %v after emit, want +0", j, a)
+		}
+	}
+	// An all-zero row appends nothing, whatever the spare capacity.
+	colIdx, val = AppendNonzeros(make([]float64, 50), colIdx, val)
+	if len(colIdx) != len(wantCols) || len(val) != len(wantCols) {
+		t.Fatalf("zero row appended entries: %v", colIdx)
+	}
+}
