@@ -37,7 +37,7 @@ race:
 # picks its input by ranging over a map, or leans on state an earlier
 # test left in a pool or memo, fails here long before it flakes in CI.
 flake:
-	$(GO) test -count=20 -shuffle=on ./internal/core/ ./internal/bipartite/ ./internal/hittingtime/ ./internal/regularize/ ./internal/randomwalk/
+	$(GO) test -count=20 -shuffle=on ./internal/core/ ./internal/bipartite/ ./internal/hittingtime/ ./internal/regularize/ ./internal/randomwalk/ ./internal/sparse/
 
 # Every benchmark runs exactly once: catches harness bitrot (bad
 # fixtures, panics, compile errors in bench-only code) without paying
@@ -51,7 +51,7 @@ bench-smoke:
 # cmd/benchjson (min ns/op across runs, max B/op & allocs/op).
 bench:
 	@rm -f .bench.out
-	$(GO) test -run '^$$' -bench 'SolveCG|MulVec' -benchmem -count 5 ./internal/sparse/ | tee -a .bench.out
+	$(GO) test -run '^$$' -bench 'SolveCG' -benchmem -count 5 ./internal/sparse/ | tee -a .bench.out
 	$(GO) test -run '^$$' -bench 'HittingTime' -benchmem -count 5 ./internal/randomwalk/ | tee -a .bench.out
 	$(GO) test -run '^$$' -bench 'HittingStage|NewWalker|SelectDiverse' -benchmem -count 5 ./internal/hittingtime/ | tee -a .bench.out
 	$(GO) test -run '^$$' -bench 'SuggestDiversified|ServerSuggest' -benchmem -count 5 . | tee -a .bench.out

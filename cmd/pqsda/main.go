@@ -46,8 +46,7 @@ func main() {
 		budget    = flag.Int("budget", 200, "compact representation size (the paper's Q)")
 		topics    = flag.Int("topics", 10, "UPM topic count")
 		verbose   = flag.Bool("v", false, "print stage diagnostics")
-		workers   = flag.Int("workers", 1, "parallel workers for every compute stage: UPM training, the Eq. 15 CG solve, and hitting-time sweeps (results are identical at any count)")
-		precision = flag.String("precision", "float64", "floating-point width of the CG-solve and hitting-sweep kernels: float64 (bit-exact reference) or float32 (~half the kernel memory traffic; the CG solve self-verifies and falls back to float64 on ill-conditioned systems)")
+		workers   = flag.Int("workers", 1, "parallel workers for UPM training across user documents (the trained model is identical at any count); serving parallelism is per request, not per kernel")
 		serve     = flag.String("serve", "", "serve the HTTP suggestion API on this address instead of the CLI")
 		reqTimout = flag.Duration("request-timeout", 5*time.Second, "per-request suggestion deadline for -serve (0 disables; overruns return 504)")
 		slowQuery = flag.Duration("slow-query", 250*time.Millisecond, "log the full trace of any suggestion slower than this (0 disables)")
@@ -148,7 +147,6 @@ func main() {
 			DiversificationOnly: *user == "" && *serve == "" && *savePath == "" && *snapSave == "",
 			RefreshMode:         *refrMode,
 			Strategy:            *strategy,
-			Precision:           *precision,
 			CompactCache:        compactCacheSize(*compCache),
 		})
 		if err != nil {

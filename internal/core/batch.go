@@ -234,16 +234,14 @@ func (e *Engine) solveGroup(ctx context.Context, snap *snapshot.Snapshot, reqs [
 	for mi, i := range members {
 		reg := regs[mi]
 		res := Result{
-			Generation:       snap.Generation,
-			Strategy:         states[i].strategy,
-			CompactSize:      compact.Size(),
-			CompactTime:      compactTime,
-			SolveTime:        solveTime,
-			SolveIterations:  reg.Iterations,
-			SolveResidual:    reg.Residual,
-			SolveBatchSize:   len(members),
-			SolveRefinements: reg.Refinements,
-			SolveFellBack:    reg.FellBack,
+			Generation:      snap.Generation,
+			Strategy:        states[i].strategy,
+			CompactSize:     compact.Size(),
+			CompactTime:     compactTime,
+			SolveTime:       solveTime,
+			SolveIterations: reg.Iterations,
+			SolveResidual:   reg.Residual,
+			SolveBatchSize:  len(members),
 		}
 		if reg.First < 0 {
 			results[i] = res

@@ -161,12 +161,6 @@ type Result struct {
 	// produced this list was blocked with: 1 on the single-request path,
 	// the solve-group size under DoBatch, 0 on cache hits.
 	SolveBatchSize int
-	// SolveRefinements counts float32 inner solves when the engine runs
-	// the solver in reduced precision (see sparse.SolveOptions.Precision).
-	SolveRefinements int
-	// SolveFellBack reports that the reduced-precision solve stalled and
-	// finished in float64 via the iterative-refinement fallback.
-	SolveFellBack bool
 	// HittingRounds is the number of Algorithm-1 greedy rounds run
 	// (zero on cache hits).
 	HittingRounds int
@@ -323,8 +317,6 @@ func (e *Engine) suggestDiversifiedOn(ctx context.Context, snap *snapshot.Snapsh
 	res.SolveIterations = reg.Iterations
 	res.SolveResidual = reg.Residual
 	res.SolveBatchSize = 1
-	res.SolveRefinements = reg.Refinements
-	res.SolveFellBack = reg.FellBack
 	sp.SetAttr("cgIterations", reg.Iterations)
 	sp.SetAttr("residual", reg.Residual)
 	sp.End()

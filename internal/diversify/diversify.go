@@ -105,8 +105,8 @@ type Config struct {
 }
 
 // Options parameterizes strategy construction: the shared scalar
-// Config plus the hitting-time stage configuration (workers, truncation
-// depth, tolerance) the default strategy runs with.
+// Config plus the hitting-time stage configuration (truncation depth,
+// tolerance, teleport weights) the default strategy runs with.
 type Options struct {
 	Config
 	Hitting hittingtime.Config

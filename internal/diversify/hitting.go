@@ -23,7 +23,6 @@ func (h *hittingStrategy) Params() map[string]any {
 		"iterations": h.cfg.Iterations,
 		"tolerance":  h.cfg.Tolerance,
 		"crossView":  h.cfg.CrossView,
-		"workers":    h.cfg.Workers,
 	}
 }
 

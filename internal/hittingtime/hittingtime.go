@@ -10,7 +10,6 @@ package hittingtime
 
 import (
 	"context"
-	"runtime"
 	"slices"
 	"sync"
 
@@ -37,16 +36,6 @@ type Config struct {
 	// bipartites. The paper uses equal weights absent prior knowledge;
 	// the zero value means uniform 1/3 each.
 	CrossView [bipartite.NumViews]float64
-	// Workers partitions every hitting-time sweep across this many
-	// goroutines (≤ 1 sequential). Selections are bit-identical for any
-	// worker count — see randomwalk.TruncatedHittingTimeFlat.
-	Workers int
-	// Precision selects the sweep kernel's arithmetic width. Float32
-	// halves the memory traffic of each sweep (the kernel is bandwidth
-	// bound); hitting times drive a greedy argmax, so ~1e-7 relative
-	// error is far below the gaps the selection discriminates on.
-	// Defaults to float64.
-	Precision sparse.Precision
 }
 
 // defaultTolerance is the Config.Tolerance zero-value default: far
@@ -304,32 +293,17 @@ func (w *Walker) HittingTime(s map[int]bool) []float64 {
 	return append([]float64(nil), h...)
 }
 
-// effectiveWorkers clamps the configured sweep parallelism to the
-// runtime's usable CPUs: goroutines beyond GOMAXPROCS only add
-// scheduling overhead, and the kernel's determinism contract makes the
-// results bit-identical at any count, so the clamp is unobservable in
-// the output. (The randomwalk kernel itself honors explicit counts —
-// its parity tests force oversubscribed partitions on purpose.)
-func (w *Walker) effectiveWorkers() int {
-	if max := runtime.GOMAXPROCS(0); w.cfg.Workers > max {
-		return max
-	}
-	return w.cfg.Workers
-}
-
 // hit runs one truncated hitting-time computation with the walker's
 // precomputed dangling mass and the scratch's membership mask,
 // returning the (scratch-aliased) hitting times and the sweeps run.
 // A non-nil rows lists the only entries the caller reads.
 func (w *Walker) hit(sc *selectScratch, rows []int) ([]float64, int) {
 	return randomwalk.TruncatedHittingTimeFlat(w.trans, sc.inS, randomwalk.HittingTimeOpts{
-		Steps:     w.cfg.Iterations,
-		Tol:       w.cfg.Tolerance,
-		Workers:   w.effectiveWorkers(),
-		Dangling:  w.dangling,
-		Scratch:   &sc.sweep,
-		Rows:      rows,
-		Precision: w.cfg.Precision,
+		Steps:    w.cfg.Iterations,
+		Tol:      w.cfg.Tolerance,
+		Dangling: w.dangling,
+		Scratch:  &sc.sweep,
+		Rows:     rows,
 	})
 }
 
@@ -358,7 +332,7 @@ func (w *Walker) SelectDiverse(first int, k int, excluded []int, pool []int) []i
 //
 // The greedy loop is observable: with an obs trace on the context it
 // records a "greedy_select" span (rounds, selected, executed walk
-// steps, workers, pool size), and with a metric sink it feeds the
+// steps, pool size), and with a metric sink it feeds the
 // hitting-round and walk-step depth histograms. Walk steps are the
 // sweeps actually executed — with the early-convergence exit enabled
 // this is at most, not exactly, rounds × l. Both no-op otherwise.
@@ -377,7 +351,6 @@ func (w *Walker) SelectDiverseCtx(ctx context.Context, first int, k int, exclude
 			sp.SetAttr("selected", len(selected))
 			sp.SetAttr("walkDepth", w.cfg.Iterations)
 			sp.SetAttr("walkSteps", walkSteps)
-			sp.SetAttr("workers", w.cfg.Workers)
 			sp.SetAttr("poolSize", len(pool))
 			sp.SetAttr("cancelled", err != nil)
 			sp.End()

@@ -57,28 +57,6 @@ func TestFusedConstructionMatchesReference(t *testing.T) {
 	}
 }
 
-// TestSelectDiverseWorkersBitIdentical is the stage-level determinism
-// contract: the greedy selection is byte-identical for every worker
-// count, with and without the early-convergence exit.
-func TestSelectDiverseWorkersBitIdentical(t *testing.T) {
-	c := benchCompact(t)
-	for _, tol := range []float64{-1, 0} { // fixed-l and default early exit
-		ref := NewWalker(c, Config{Tolerance: tol}).SelectDiverse(1, 10, []int{0}, nil)
-		for _, workers := range []int{0, 1, 2, 7, 64} {
-			got := NewWalker(c, Config{Tolerance: tol, Workers: workers}).SelectDiverse(1, 10, []int{0}, nil)
-			if len(got) != len(ref) {
-				t.Fatalf("tol %v workers %d: selected %d, want %d", tol, workers, len(got), len(ref))
-			}
-			for i := range ref {
-				if got[i] != ref[i] {
-					t.Fatalf("tol %v workers %d: selection differs at %d: %v vs %v",
-						tol, workers, i, got, ref)
-				}
-			}
-		}
-	}
-}
-
 // TestSelectDiverseMatchesSeedGreedy pins the rewritten stage against
 // the seed implementation end to end: the reference greedy loop (map
 // membership, closure kernel, fresh vectors) over the reference
@@ -112,7 +90,7 @@ func TestSelectDiverseMatchesSeedGreedy(t *testing.T) {
 // matches the sequential reference exactly.
 func TestSelectDiverseConcurrentPooledScratch(t *testing.T) {
 	c := benchCompact(t)
-	wk := NewWalker(c, Config{Workers: 2})
+	wk := NewWalker(c, Config{})
 	ref := wk.SelectDiverse(1, 8, []int{0}, nil)
 	refH := wk.HittingTime(map[int]bool{1: true})
 	const goroutines, rounds = 8, 5

@@ -104,22 +104,18 @@ func BenchmarkHittingStageSeed(b *testing.B) {
 	}
 }
 
-func benchmarkHittingStage(b *testing.B, workers int) {
+// BenchmarkHittingStage runs the rewritten stage (fused construction +
+// flat kernel), early exit disabled so the sweep count matches the seed
+// exactly.
+func BenchmarkHittingStage(b *testing.B) {
 	c := benchCompact(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		w := NewWalker(c, Config{Workers: workers, Tolerance: -1})
+		w := NewWalker(c, Config{Tolerance: -1})
 		w.SelectDiverse(1, 10, []int{0}, nil)
 	}
 }
-
-// BenchmarkHittingStage* run the rewritten stage (fused construction +
-// flat kernel) at various worker counts, early exit disabled so the
-// sweep count matches the seed exactly.
-func BenchmarkHittingStage(b *testing.B)         { benchmarkHittingStage(b, 1) }
-func BenchmarkHittingStageWorkers4(b *testing.B) { benchmarkHittingStage(b, 4) }
-func BenchmarkHittingStageWorkers8(b *testing.B) { benchmarkHittingStage(b, 8) }
 
 // BenchmarkNewWalker isolates walker construction.
 func BenchmarkNewWalker(b *testing.B) {

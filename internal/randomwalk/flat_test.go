@@ -92,38 +92,6 @@ func TestFlatMatchesClosure(t *testing.T) {
 	}
 }
 
-// TestFlatWorkersBitIdentical pins the determinism contract: any worker
-// count yields bit-identical hitting times and iteration counts,
-// including with the early exit enabled (the convergence decision is
-// partition-independent).
-func TestFlatWorkersBitIdentical(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	// Big enough that the parallel path actually engages (nnz ≥ 4096).
-	trans := randTransition(rng, 1200, 8, 100)
-	inS := make([]bool, 1200)
-	for i := 0; i < 5; i++ {
-		inS[rng.Intn(1100)] = true
-	}
-	for _, tol := range []float64{0, 1e-9} {
-		ref, refIters := TruncatedHittingTimeFlat(trans, inS, HittingTimeOpts{Steps: 40, Tol: tol})
-		ref = append([]float64(nil), ref...)
-		for _, workers := range []int{0, 1, 2, 7, 64} {
-			got, iters := TruncatedHittingTimeFlat(trans, inS, HittingTimeOpts{
-				Steps: 40, Tol: tol, Workers: workers,
-			})
-			if iters != refIters {
-				t.Fatalf("tol %v workers %d: iters %d != %d", tol, workers, iters, refIters)
-			}
-			for i := range ref {
-				if got[i] != ref[i] {
-					t.Fatalf("tol %v workers %d: h[%d] = %v != %v (not bit-identical)",
-						tol, workers, i, got[i], ref[i])
-				}
-			}
-		}
-	}
-}
-
 // TestFlatEarlyExit verifies the convergence exit: on a graph where
 // every non-target node steps straight into S, h stabilizes after two
 // sweeps, so the kernel must stop far short of l with the exact

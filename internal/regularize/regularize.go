@@ -123,12 +123,6 @@ type Result struct {
 	// Residual is the solve's final relative residual ‖Ax−b‖₂/‖b‖₂ —
 	// solver-convergence telemetry surfaced per request.
 	Residual float64
-	// Refinements counts float32 inner solves when the solver ran in
-	// reduced precision (0 for plain float64 solves).
-	Refinements int
-	// FellBack reports that a float32 solve stalled and finished in
-	// float64 via iterative-refinement fallback.
-	FellBack bool
 }
 
 // FirstCandidate solves Eq. 15 on the compact representation and picks
@@ -159,15 +153,13 @@ func FirstCandidateCtx(ctx context.Context, c *bipartite.Compact, f0 []float64, 
 	solver.Stats = &st
 	f, iters, err := sparse.SolveCGCtx(ctx, a, f0, nil, solver)
 	if err != nil {
-		return Result{Iterations: iters, Residual: st.Residual, Refinements: st.Refinements, FellBack: st.FellBack}, fmt.Errorf("regularize: solving Eq. 15: %w", err)
+		return Result{Iterations: iters, Residual: st.Residual}, fmt.Errorf("regularize: solving Eq. 15: %w", err)
 	}
 	return Result{
-		F:           f,
-		First:       argmaxExcluding(f, seeds),
-		Iterations:  iters,
-		Residual:    st.Residual,
-		Refinements: st.Refinements,
-		FellBack:    st.FellBack,
+		F:          f,
+		First:      argmaxExcluding(f, seeds),
+		Iterations: iters,
+		Residual:   st.Residual,
 	}, nil
 }
 
@@ -203,12 +195,10 @@ func FirstCandidatesCtx(ctx context.Context, c *bipartite.Compact, f0s [][]float
 	fs, stats, err := sparse.SolveCGMultiCtx(ctx, a, f0s, nil, cfg.Solver)
 	for i := range out {
 		out[i] = Result{
-			F:           fs[i],
-			First:       -1,
-			Iterations:  stats[i].Iterations,
-			Residual:    stats[i].Residual,
-			Refinements: stats[i].Refinements,
-			FellBack:    stats[i].FellBack,
+			F:          fs[i],
+			First:      -1,
+			Iterations: stats[i].Iterations,
+			Residual:   stats[i].Residual,
 		}
 		if stats[i].Converged {
 			out[i].First = argmaxExcluding(fs[i], seeds[i])

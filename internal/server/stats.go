@@ -32,12 +32,6 @@ type serverStats struct {
 	batchRequests atomic.Int64
 	// slowQueries counts suggestions over the slow-query threshold.
 	slowQueries atomic.Int64
-	// precisionFallbacks counts Eq. 15 solves (lanes, for blocked
-	// multi-RHS solves) whose reduced-precision float32 run stalled and
-	// finished in float64 via iterative refinement. A rising rate means
-	// the serving systems are too ill-conditioned for float32 and the
-	// -precision knob is costing rather than saving time.
-	precisionFallbacks atomic.Int64
 
 	logRequests      atomic.Int64
 	feedbackRequests atomic.Int64
@@ -70,14 +64,13 @@ func (ss *serverStats) observeRefresh(d time.Duration) {
 func (ss *serverStats) snapshot() map[string]any {
 	return map[string]any{
 		"suggest": map[string]any{
-			"requests":           ss.suggestRequests.Load(),
-			"errors":             ss.suggestErrors.Load(),
-			"unknown":            ss.suggestUnknown.Load(),
-			"timeouts":           ss.suggestTimeouts.Load(),
-			"cacheHits":          ss.suggestCacheHits.Load(),
-			"batches":            ss.batchRequests.Load(),
-			"slow":               ss.slowQueries.Load(),
-			"precisionFallbacks": ss.precisionFallbacks.Load(),
+			"requests":  ss.suggestRequests.Load(),
+			"errors":    ss.suggestErrors.Load(),
+			"unknown":   ss.suggestUnknown.Load(),
+			"timeouts":  ss.suggestTimeouts.Load(),
+			"cacheHits": ss.suggestCacheHits.Load(),
+			"batches":   ss.batchRequests.Load(),
+			"slow":      ss.slowQueries.Load(),
 		},
 		"log":      map[string]any{"requests": ss.logRequests.Load()},
 		"feedback": map[string]any{"requests": ss.feedbackRequests.Load()},
@@ -253,7 +246,6 @@ func newTelemetry(s *Server) *telemetry {
 		{"pqsda_suggest_cache_hits_total", "Suggestion requests served from the snapshot-keyed cache.", counter(&st.suggestCacheHits)},
 		{"pqsda_suggest_slow_total", "Suggestions over the slow-query threshold.", counter(&st.slowQueries)},
 		{"pqsda_batch_requests_total", "POST /v1/suggest/batch payloads.", counter(&st.batchRequests)},
-		{"pqsda_solve_precision_fallback_total", "Reduced-precision Eq. 15 solves (lanes) that fell back to float64 iterative refinement.", counter(&st.precisionFallbacks)},
 		{"pqsda_log_requests_total", "POST /v1/log events recorded.", counter(&st.logRequests)},
 		{"pqsda_feedback_requests_total", "POST /v1/feedback ratings recorded.", counter(&st.feedbackRequests)},
 		{"pqsda_learn_requests_total", "POST /v1/learn fold-ins requested.", counter(&st.learnRequests)},
@@ -381,37 +373,27 @@ func (t *telemetry) observeStrategy(name string, selectTime time.Duration, reqID
 	}
 }
 
-// recordSolve feeds the solve-shape metrics from one single-path
+// recordSolve feeds the solve-shape metric from one single-path
 // pipeline run: the RHS count of every fresh Eq. 15 solve (1 on this
-// path) and the float32→float64 refinement-fallback counter. Cache
-// hits and degraded answers carry no fresh solve and are skipped.
+// path). Cache hits and degraded answers carry no fresh solve and are
+// skipped.
 func (s *Server) recordSolve(res core.Result) {
 	if res.CacheHit || res.SolveBatchSize < 1 {
 		return
 	}
 	s.tel.solveBatchSize.Observe(float64(res.SolveBatchSize))
-	if res.SolveFellBack {
-		s.stats.precisionFallbacks.Add(1)
-	}
 }
 
-// recordBatchSolve feeds the same metrics from one DoBatch group run.
+// recordBatchSolve feeds the same metric from one DoBatch group run.
 // All computing lanes of a group share ONE blocked solve, so the batch
-// size is observed once (first fresh lane); the fallback counter counts
-// per lane, since refinement retries individual right-hand sides.
+// size is observed once (first fresh lane).
 func (s *Server) recordBatchSolve(results []core.Result) {
-	recorded := false
 	for _, res := range results {
 		if res.CacheHit || res.SolveBatchSize < 1 {
 			continue
 		}
-		if !recorded {
-			s.tel.solveBatchSize.Observe(float64(res.SolveBatchSize))
-			recorded = true
-		}
-		if res.SolveFellBack {
-			s.stats.precisionFallbacks.Add(1)
-		}
+		s.tel.solveBatchSize.Observe(float64(res.SolveBatchSize))
+		return
 	}
 }
 

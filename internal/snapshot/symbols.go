@@ -168,24 +168,12 @@ func (t *SymbolTable) Tokens(id uint32) []string {
 	return t.tokens[id]
 }
 
-// prewarm readies the per-view float32 value mirrors of the
-// representation so reduced-precision kernels never pay the O(nnz)
-// conversion on the serving path — "mirrored once per snapshot".
-func prewarm(rep *bipartite.Representation) {
-	for v := 0; v < bipartite.NumViews; v++ {
-		if rep.W[v] != nil {
-			rep.W[v].Prewarm32()
-		}
-	}
-}
-
-// Finish derives the build-once serving accelerators (symbol table,
-// float32 mirrors) for a freshly constructed snapshot. Every snapshot
+// Finish derives the build-once serving accelerator (the symbol table)
+// for a freshly constructed snapshot. Every snapshot
 // constructor calls it before publication.
 func (s *Snapshot) Finish() *Snapshot {
 	if s.Rep != nil {
 		s.Symbols = BuildSymbols(s.Rep)
-		prewarm(s.Rep)
 	}
 	return s
 }

@@ -43,7 +43,7 @@ func TestSolveCGConcurrentPooledScratch(t *testing.T) {
 			defer wg.Done()
 			for r := 0; r < rounds; r++ {
 				sys := systems[(g+r)%len(systems)]
-				x, _, err := SolveCG(sys.a, sys.b, nil, SolveOptions{Workers: 1 + g%3})
+				x, _, err := SolveCG(sys.a, sys.b, nil, SolveOptions{})
 				if err != nil {
 					errs <- err.Error()
 					return

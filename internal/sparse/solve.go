@@ -20,17 +20,6 @@ type SolveOptions struct {
 	Tol float64
 	// MaxIter bounds the number of iterations. Zero means 4·n.
 	MaxIter int
-	// Workers parallelizes the per-iteration mat-vec across row ranges
-	// (≤1 means sequential) — the paper's "parallelized ... scales to
-	// much larger datasets" remark for the Eq. 15 solver. Results are
-	// bit-identical to the sequential solve.
-	Workers int
-	// Precision selects the inner-loop arithmetic width. Float32 runs
-	// the SpMV loops at half the memory traffic and corrects the answer
-	// by float64 iterative refinement; when refinement stalls above Tol
-	// the solve falls back to a warm-started float64 CG, so the final
-	// residual contract is independent of this knob.
-	Precision Precision
 	// Stats, when non-nil, is filled with the solve's convergence
 	// telemetry on return (iterations, final relative residual,
 	// convergence). It exists so callers can surface solver internals
@@ -48,12 +37,6 @@ type SolveStats struct {
 	// Converged reports the residual target was reached within the
 	// iteration budget.
 	Converged bool
-	// Refinements counts float64 iterative-refinement rounds run after
-	// the initial float32 solve (0 for pure float64 solves).
-	Refinements int
-	// FellBack reports the float32 path stalled above Tol and the
-	// answer was finished by a warm-started float64 CG.
-	FellBack bool
 }
 
 func (o SolveOptions) withDefaults(n int) SolveOptions {
@@ -96,18 +79,7 @@ func SolveCG(a *Matrix, b, x0 []float64, opts SolveOptions) ([]float64, int, err
 // no-ops otherwise.
 func SolveCGCtx(ctx context.Context, a *Matrix, b, x0 []float64, opts SolveOptions) ([]float64, int, error) {
 	sp := obs.StartSpan(ctx, "cg_solve")
-	var (
-		x     []float64
-		iters int
-		rel   float64
-		err   error
-		extra refineStats
-	)
-	if opts.Precision == PrecisionFloat32 {
-		x, iters, rel, extra, err = solveRefined32(ctx, a, b, x0, opts)
-	} else {
-		x, iters, rel, err = solveCG(ctx, a, b, x0, opts)
-	}
+	x, iters, rel, err := solveCG(ctx, a, b, x0, opts)
 	if sp != nil {
 		sp.SetAttr("n", a.Rows())
 		sp.SetAttr("iterations", iters)
@@ -118,26 +90,9 @@ func SolveCGCtx(ctx context.Context, a *Matrix, b, x0 []float64, opts SolveOptio
 	obs.Observe(ctx, obs.MetricCGIterations, float64(iters))
 	obs.Observe(ctx, obs.MetricCGResidual, rel)
 	if opts.Stats != nil {
-		*opts.Stats = SolveStats{
-			Iterations:  iters,
-			Residual:    rel,
-			Converged:   err == nil,
-			Refinements: extra.refinements,
-			FellBack:    extra.fellBack,
-		}
+		*opts.Stats = SolveStats{Iterations: iters, Residual: rel, Converged: err == nil}
 	}
 	return x, iters, err
-}
-
-// refineStats carries the float32 path's extra telemetry through the
-// shared wrapper above. innerSolves is the raw float32 CG solve count
-// (refinements is innerSolves-1 when the first solve counts as the
-// initial pass; the multi-RHS wrapper counts every one as a correction
-// of its blocked iterate).
-type refineStats struct {
-	refinements int
-	innerSolves int
-	fellBack    bool
 }
 
 // cgScratch holds one solve's work vectors. A cache-miss suggestion
@@ -186,6 +141,12 @@ func solveCG(ctx context.Context, a *Matrix, b, x0 []float64, opts SolveOptions)
 	scratch.resize(n)
 
 	x := make([]float64, n)
+	nb := norm2(b)
+	if nb == 0 {
+		// The only solution of an SPD system with b = 0 is x = 0,
+		// whatever warm start x0 was offered.
+		return x, 0, 0, nil
+	}
 	if x0 != nil {
 		copy(x, x0)
 	}
@@ -212,17 +173,13 @@ func solveCG(ctx context.Context, a *Matrix, b, x0 []float64, opts SolveOptions)
 	copy(p, z)
 	ap := scratch.ap
 
-	nb := norm2(b)
-	if nb == 0 {
-		return x, 0, 0, nil // b = 0 → x = 0 (with x0 correction below)
-	}
 	rel := norm2(r) / nb // running relative residual, reported on every exit
 	rz := dot(r, z)
 	for it := 1; it <= opts.MaxIter; it++ {
 		if err := ctx.Err(); err != nil {
 			return x, it - 1, rel, err
 		}
-		a.MulVecParallel(p, ap, opts.Workers)
+		a.MulVec(p, ap)
 		pap := dot(p, ap)
 		if pap == 0 {
 			return x, it, rel, ErrNoConvergence

@@ -25,13 +25,8 @@ import (
 // so finished columns stop contributing inner-loop work while the
 // stragglers iterate on. Per lane, the arithmetic sequence is exactly
 // solveCG's — same Jacobi preconditioner, same update order, dots
-// accumulated ascending — so float64 results are bit-identical to
-// SolveCG column by column (asserted by TestSolveCGMultiBitIdentical).
-
-// element is the arithmetic width of a blocked kernel instantiation.
-type element interface {
-	~float32 | ~float64
-}
+// accumulated ascending — so results are bit-identical to SolveCG
+// column by column (asserted by TestSolveCGMultiBitIdentical).
 
 // laneResult is one lane's convergence outcome, indexed by original
 // right-hand-side position.
@@ -43,37 +38,26 @@ type laneResult struct {
 
 // blockScratch holds one blocked solve's packed work vectors (pooled).
 // The five n×k blocks mirror cgScratch's five n-vectors; the k-length
-// arrays are per-lane scalars. ax/r64 serve the float32 wrapper's
-// float64 true-residual checks.
-type blockScratch[T element] struct {
-	minv           []T // n: shared Jacobi preconditioner
-	x, r, z, p, ap []T // n·k packed blocks
+// arrays are per-lane scalars.
+type blockScratch struct {
+	minv           []float64 // n: shared Jacobi preconditioner
+	x, r, z, p, ap []float64 // n·k packed blocks
 
 	nb, rz, rel, pap, alpha []float64 // k per-lane scalars
 	lane                    []int     // block position → original RHS index
 	res                     []laneResult
-	ax, r64                 []float64 // n: float64 residual scratch (f32 path)
-
-	// Blocked-refinement state (f32 path only; sized by solveMulti32
-	// itself because prevRel/scale must keep full-k length while the
-	// block shrinks to the live lanes).
-	live, fall     []int
-	scale, prevRel []float64
 }
 
-var (
-	multiPool64 = sync.Pool{New: func() any { return new(blockScratch[float64]) }}
-	multiPool32 = sync.Pool{New: func() any { return new(blockScratch[float32]) }}
-)
+var multiPool64 = sync.Pool{New: func() any { return new(blockScratch) }}
 
-func (sc *blockScratch[T]) resize(n, k int) {
+func (sc *blockScratch) resize(n, k int) {
 	nk := n * k
 	if cap(sc.x) < nk {
-		sc.x = make([]T, nk)
-		sc.r = make([]T, nk)
-		sc.z = make([]T, nk)
-		sc.p = make([]T, nk)
-		sc.ap = make([]T, nk)
+		sc.x = make([]float64, nk)
+		sc.r = make([]float64, nk)
+		sc.z = make([]float64, nk)
+		sc.p = make([]float64, nk)
+		sc.ap = make([]float64, nk)
 	} else {
 		sc.x = sc.x[:nk]
 		sc.r = sc.r[:nk]
@@ -82,13 +66,9 @@ func (sc *blockScratch[T]) resize(n, k int) {
 		sc.ap = sc.ap[:nk]
 	}
 	if cap(sc.minv) < n {
-		sc.minv = make([]T, n)
-		sc.ax = make([]float64, n)
-		sc.r64 = make([]float64, n)
+		sc.minv = make([]float64, n)
 	} else {
 		sc.minv = sc.minv[:n]
-		sc.ax = sc.ax[:n]
-		sc.r64 = sc.r64[:n]
 	}
 	if cap(sc.nb) < k {
 		sc.nb = make([]float64, k)
@@ -111,7 +91,7 @@ func (sc *blockScratch[T]) resize(n, k int) {
 
 // swap exchanges lanes j1 and j2 across every packed block and per-lane
 // scalar. O(n) — paid once per lane retirement, not per iteration.
-func (sc *blockScratch[T]) swap(j1, j2, n, k int) {
+func (sc *blockScratch) swap(j1, j2, n, k int) {
 	if j1 == j2 {
 		return
 	}
@@ -176,12 +156,7 @@ func SolveCGMultiCtx(ctx context.Context, a *Matrix, b, dst [][]float64, opts So
 	opts = opts.withDefaults(n)
 
 	sp := obs.StartSpan(ctx, "cg_solve_multi")
-	var err error
-	if opts.Precision == PrecisionFloat32 {
-		err = solveMulti32(ctx, a, b, dst, opts, stats)
-	} else {
-		err = solveMulti64(ctx, a, b, dst, opts, stats)
-	}
+	err := solveMulti64(ctx, a, b, dst, opts, stats)
 	maxIters, allConv := 0, true
 	for j := range stats {
 		if stats[j].Iterations > maxIters {
@@ -195,7 +170,6 @@ func SolveCGMultiCtx(ctx context.Context, a *Matrix, b, dst [][]float64, opts So
 		sp.SetAttr("n", n)
 		sp.SetAttr("rhs", k)
 		sp.SetAttr("iterations", maxIters)
-		sp.SetAttr("precision", opts.Precision.String())
 		sp.SetAttr("converged", allConv)
 		sp.End()
 	}
@@ -205,15 +179,15 @@ func SolveCGMultiCtx(ctx context.Context, a *Matrix, b, dst [][]float64, opts So
 	return dst, stats, err
 }
 
-// solveMulti64 is the float64 blocked path: bit-identical to per-column
-// SolveCG.
+// solveMulti64 packs the right-hand sides, runs the blocked sweep and
+// unpacks solutions and per-lane stats by original RHS position.
 func solveMulti64(ctx context.Context, a *Matrix, b, dst [][]float64, opts SolveOptions, stats []SolveStats) error {
 	n, k := a.Rows(), len(b)
-	sc := multiPool64.Get().(*blockScratch[float64])
+	sc := multiPool64.Get().(*blockScratch)
 	defer multiPool64.Put(sc)
 	sc.resize(n, k)
 	packBlock(sc, a, b)
-	err := solveBlocked(ctx, a.rowPtr, a.colIdx, a.val, n, k, sc, opts.Tol, opts.MaxIter, opts.Workers)
+	err := solveBlocked(ctx, a, k, sc, opts.Tol, opts.MaxIter)
 	for s := 0; s < k; s++ {
 		j := sc.lane[s]
 		for i := 0; i < n; i++ {
@@ -225,152 +199,16 @@ func solveMulti64(ctx context.Context, a *Matrix, b, dst [][]float64, opts Solve
 	return err
 }
 
-// solveMulti32 runs the blocked sweep on the float32 mirror to the
-// relaxed inner tolerance, then checks every lane's true float64
-// residual. Lanes still above Tol are finished by BLOCKED iterative
-// refinement: each round solves A·d = r/‖r‖ for every live lane in one
-// float32 blocked pass — the corrections share the matrix exactly like
-// the original right-hand sides, so the lane count never multiplies the
-// SpMM traffic (the earlier per-lane solveRefined32 loop degenerated to
-// k sequential solves, forfeiting the whole batching win). A lane that
-// stalls (residual not halved by a round) or exhausts the refinement
-// budget falls back to a warm-started float64 CG — the same per-lane
-// contract as solveRefined32.
-func solveMulti32(ctx context.Context, a *Matrix, b, dst [][]float64, opts SolveOptions, stats []SolveStats) error {
-	n, k := a.Rows(), len(b)
-	view := a.View32()
-	sc := multiPool32.Get().(*blockScratch[float32])
-	defer multiPool32.Put(sc)
-	sc.resize(n, k)
-	if cap(sc.scale) < k {
-		sc.scale = make([]float64, k)
-		sc.prevRel = make([]float64, k)
-	}
-	packBlock(sc, a, b)
-	innerTol := opts.Tol
-	if innerTol < innerTol32 {
-		innerTol = innerTol32
-	}
-	err := solveBlocked(ctx, view.RowPtr, view.ColIdx, view.Val, n, k, sc, innerTol, opts.MaxIter, opts.Workers)
-	for s := 0; s < k; s++ {
-		j := sc.lane[s]
-		for i := 0; i < n; i++ {
-			dst[j][i] = float64(sc.x[i*k+s])
-		}
-		stats[j] = SolveStats{Iterations: sc.res[s].iters, Residual: sc.res[s].rel}
-	}
-	if err != nil {
-		return err // cancelled: best iterates are already unpacked
-	}
-
-	// trueRel is the float64 relative residual — the blocked pass only
-	// certified the relaxed float32 tolerance, so convergence, stall and
-	// fallback are all judged on this.
-	trueRel := func(j int, nb float64) float64 {
-		a.MulVec(dst[j], sc.ax)
-		for i := range sc.r64 {
-			sc.r64[i] = b[j][i] - sc.ax[i]
-		}
-		return norm2(sc.r64) / nb
-	}
-
-	live, fall := sc.live[:0], sc.fall[:0]
-	defer func() { sc.live, sc.fall = live, fall }()
-	for j := 0; j < k; j++ {
-		nb := norm2(b[j])
-		if nb == 0 {
-			stats[j].Residual, stats[j].Converged = 0, true
-			continue
-		}
-		rel := trueRel(j, nb)
-		stats[j].Residual = rel
-		if rel <= opts.Tol {
-			stats[j].Converged = true
-			continue
-		}
-		sc.prevRel[j] = rel
-		live = append(live, j)
-	}
-
-	for round := 1; len(live) > 0; round++ {
-		if round > maxRefinements {
-			fall = append(fall, live...)
-			break
-		}
-		m := len(live)
-		sc.resize(n, m)
-		for i := range sc.x {
-			sc.x[i] = 0
-		}
-		for s, j := range live {
-			// Correction RHS normalized by ‖r‖ so each lane uses the full
-			// float32 dynamic range (as in solveRefined32).
-			a.MulVec(dst[j], sc.ax)
-			for i := range sc.r64 {
-				sc.r64[i] = b[j][i] - sc.ax[i]
-			}
-			rnorm := norm2(sc.r64)
-			sc.scale[s] = rnorm
-			for i := 0; i < n; i++ {
-				sc.r[i*m+s] = float32(sc.r64[i] / rnorm)
-			}
-			sc.lane[s] = s
-			sc.res[s] = laneResult{}
-		}
-		if err := solveBlocked(ctx, view.RowPtr, view.ColIdx, view.Val, n, m, sc, innerTol, opts.MaxIter, opts.Workers); err != nil {
-			return err
-		}
-		for s := 0; s < m; s++ {
-			ls := sc.lane[s]
-			j := live[ls]
-			scale := sc.scale[ls]
-			for i := 0; i < n; i++ {
-				dst[j][i] += scale * float64(sc.x[i*m+s])
-			}
-			stats[j].Iterations += sc.res[s].iters
-			stats[j].Refinements++
-		}
-		next := live[:0]
-		for _, j := range live {
-			rel := trueRel(j, norm2(b[j]))
-			stats[j].Residual = rel
-			switch {
-			case rel <= opts.Tol:
-				stats[j].Converged = true
-			case rel > 0.5*sc.prevRel[j]:
-				fall = append(fall, j) // stalled: float32 stopped helping
-			default:
-				sc.prevRel[j] = rel
-				next = append(next, j)
-			}
-		}
-		live = next
-	}
-
-	for _, j := range fall {
-		stats[j].FellBack = true
-		fx, fit, frel, ferr := solveCG(ctx, a, b[j], dst[j], opts)
-		copy(dst[j], fx)
-		stats[j].Iterations += fit
-		stats[j].Residual = frel
-		stats[j].Converged = ferr == nil
-		if ferr != nil && ferr != ErrNoConvergence {
-			return ferr
-		}
-	}
-	return nil
-}
-
 // packBlock loads the right-hand sides into the residual block (x = 0
 // so r = b), zeroes the solution block and resets the lane map.
-func packBlock[T element](sc *blockScratch[T], a *Matrix, b [][]float64) {
+func packBlock(sc *blockScratch, a *Matrix, b [][]float64) {
 	n, k := a.Rows(), len(b)
 	for i := range sc.x {
 		sc.x[i] = 0
 	}
 	for j, bj := range b {
 		for i := 0; i < n; i++ {
-			sc.r[i*k+j] = T(bj[i])
+			sc.r[i*k+j] = bj[i]
 		}
 	}
 	for j := 0; j < k; j++ {
@@ -383,7 +221,7 @@ func packBlock[T element](sc *blockScratch[T], a *Matrix, b [][]float64) {
 		if d == 0 {
 			d = 1
 		}
-		sc.minv[i] = T(1 / d)
+		sc.minv[i] = 1 / d
 	}
 }
 
@@ -394,8 +232,8 @@ func packBlock[T element](sc *blockScratch[T], a *Matrix, b [][]float64) {
 // outcome in sc.res (indexed by block position — translate through
 // sc.lane), and returns only a context error; convergence is judged per
 // lane by the caller.
-func solveBlocked[T element](ctx context.Context, rowPtr, colIdx []int, vals []T, n, k int, sc *blockScratch[T], tol float64, maxIter, workers int) error {
-	m := k
+func solveBlocked(ctx context.Context, a *Matrix, k int, sc *blockScratch, tol float64, maxIter int) error {
+	n, m := a.rows, k
 	// Zero right-hand sides are solved by x = 0 immediately. nb is
 	// recomputed at the top of each pass so a lane swapped into slot j
 	// by a retirement is measured too.
@@ -435,7 +273,7 @@ func solveBlocked[T element](ctx context.Context, rowPtr, colIdx []int, vals []T
 			}
 			return err
 		}
-		spmmBlocked(rowPtr, colIdx, vals, sc.p, sc.ap, n, k, m, workers)
+		spmmRange(a.rowPtr, a.colIdx, a.val, sc.p, sc.ap, 0, n, k, m)
 		dotLanes(sc.p, sc.ap, sc.pap, k, m, n)
 		// Breakdown check before the x update, matching solveCG's order.
 		for j := 0; j < m; {
@@ -456,7 +294,7 @@ func solveBlocked[T element](ctx context.Context, rowPtr, colIdx []int, vals []T
 		for i := 0; i < n; i++ {
 			base := i * k
 			for j := 0; j < m; j++ {
-				al := T(sc.alpha[j])
+				al := sc.alpha[j]
 				sc.x[base+j] += al * sc.p[base+j]
 				sc.r[base+j] -= al * sc.ap[base+j]
 			}
@@ -494,7 +332,7 @@ func solveBlocked[T element](ctx context.Context, rowPtr, colIdx []int, vals []T
 		for i := 0; i < n; i++ {
 			base := i * k
 			for j := 0; j < m; j++ {
-				sc.p[base+j] = sc.z[base+j] + T(sc.alpha[j])*sc.p[base+j]
+				sc.p[base+j] = sc.z[base+j] + sc.alpha[j]*sc.p[base+j]
 			}
 		}
 	}
@@ -504,38 +342,11 @@ func solveBlocked[T element](ctx context.Context, rowPtr, colIdx []int, vals []T
 	return nil
 }
 
-// spmmBlocked computes ap = A·p over m active lanes of a k-stride
-// block: one pass over the CSR arrays, the entry value loaded once and
-// broadcast into the m contiguous lane accumulators. Row ranges are
-// partitioned across workers like MulVecParallel; per lane the
-// accumulation order equals MulVec's, so results are bit-identical to m
-// independent mat-vecs.
-func spmmBlocked[T element](rowPtr, colIdx []int, vals []T, p, ap []T, rows, k, m, workers int) {
-	if workers <= 1 || rows < 4*workers || len(vals)*m < 4096 {
-		spmmRange(rowPtr, colIdx, vals, p, ap, 0, rows, k, m)
-		return
-	}
-	var wg sync.WaitGroup
-	chunk := (rows + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > rows {
-			hi = rows
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			spmmRange(rowPtr, colIdx, vals, p, ap, lo, hi, k, m)
-		}(lo, hi)
-	}
-	wg.Wait()
-}
-
-// spmmRange processes each row in lane tiles of 8 (then 4, then 1)
+// spmmRange computes ap = A·p for rows lo ≤ r < hi over the m active
+// lanes of a k-stride block, the entry value loaded once and broadcast
+// into the contiguous lane accumulators.
+//
+// It processes each row in lane tiles of 8 (then 4, then 1)
 // with the tile's partial sums held in registers across the row's
 // nonzeros. The naive nonzero-outer loop stores and reloads every lane
 // accumulator once per nonzero — three memory ops per multiply-add
@@ -545,13 +356,13 @@ func spmmBlocked[T element](rowPtr, colIdx []int, vals []T, p, ap []T, rows, k, 
 // bytes; the accumulators never leave registers until the single store
 // per tile. Per lane the sum still runs ascending over the row's
 // nonzeros, so results stay bit-identical to MulVec.
-func spmmRange[T element](rowPtr, colIdx []int, vals []T, p, ap []T, lo, hi, k, m int) {
+func spmmRange(rowPtr, colIdx []int, vals, p, ap []float64, lo, hi, k, m int) {
 	for r := lo; r < hi; r++ {
 		start, end := rowPtr[r], rowPtr[r+1]
 		arow := ap[r*k : r*k+m]
 		j := 0
 		for ; j+8 <= m; j += 8 {
-			var a0, a1, a2, a3, a4, a5, a6, a7 T
+			var a0, a1, a2, a3, a4, a5, a6, a7 float64
 			for i := start; i < end; i++ {
 				v := vals[i]
 				pc := p[colIdx[i]*k+j:]
@@ -571,7 +382,7 @@ func spmmRange[T element](rowPtr, colIdx []int, vals []T, p, ap []T, lo, hi, k, 
 			av[4], av[5], av[6], av[7] = a4, a5, a6, a7
 		}
 		for ; j+4 <= m; j += 4 {
-			var a0, a1, a2, a3 T
+			var a0, a1, a2, a3 float64
 			for i := start; i < end; i++ {
 				v := vals[i]
 				pc := p[colIdx[i]*k+j:]
@@ -586,7 +397,7 @@ func spmmRange[T element](rowPtr, colIdx []int, vals []T, p, ap []T, lo, hi, k, 
 			av[0], av[1], av[2], av[3] = a0, a1, a2, a3
 		}
 		for ; j < m; j++ {
-			var acc T
+			var acc float64
 			for i := start; i < end; i++ {
 				acc += vals[i] * p[colIdx[i]*k+j]
 			}
@@ -595,28 +406,28 @@ func spmmRange[T element](rowPtr, colIdx []int, vals []T, p, ap []T, lo, hi, k, 
 	}
 }
 
-// dotLane is dot() over lane j of two k-stride blocks, accumulated in
-// float64 ascending — the same order as the single-RHS kernels.
-func dotLane[T element](a, b []T, j, k, n int) float64 {
+// dotLane is dot() over lane j of two k-stride blocks, accumulated
+// ascending — the same order as the single-RHS kernels.
+func dotLane(a, b []float64, j, k, n int) float64 {
 	s := 0.0
 	for i := 0; i < n; i++ {
-		s += float64(a[i*k+j]) * float64(b[i*k+j])
+		s += a[i*k+j] * b[i*k+j]
 	}
 	return s
 }
 
-func normLane[T element](a []T, j, k, n int) float64 {
+func normLane(a []float64, j, k, n int) float64 {
 	return math.Sqrt(dotLane(a, a, j, k, n))
 }
 
 // dotLanes fills out[j] = dotLane(a, b, j) for every active lane in
 // ONE contiguous pass over the blocks. With k lanes a per-lane dotLane
-// walks the block at a k·sizeof(T) stride — a cache-line miss per
+// walks the block at a k·8-byte stride — a cache-line miss per
 // element once k is batch-sized — and the solver needs three such
 // reductions per iteration. Fusing them keeps the reduction traffic at
 // one block read regardless of m. Per lane the accumulation is still
-// float64 ascending in i, so the result is bit-identical to dotLane.
-func dotLanes[T element](a, b []T, out []float64, k, m, n int) {
+// ascending in i, so the result is bit-identical to dotLane.
+func dotLanes(a, b, out []float64, k, m, n int) {
 	for j := 0; j < m; j++ {
 		out[j] = 0
 	}
@@ -625,7 +436,7 @@ func dotLanes[T element](a, b []T, out []float64, k, m, n int) {
 		av := a[base : base+m]
 		bv := b[base : base+m]
 		for j, x := range av {
-			out[j] += float64(x) * float64(bv[j])
+			out[j] += x * bv[j]
 		}
 	}
 }

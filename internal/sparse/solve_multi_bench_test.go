@@ -41,30 +41,24 @@ func benchmarkSolveCGSeq(b *testing.B, k int) {
 
 func BenchmarkSolveCGSeq64(b *testing.B) { benchmarkSolveCGSeq(b, 64) }
 
-func benchmarkSolveCGMulti(b *testing.B, k int, opts SolveOptions) {
+func benchmarkSolveCGMulti(b *testing.B, k int) {
 	a, rhs := multiBenchFixture(k)
 	dst := make([][]float64, k)
 	for j := range dst {
 		dst[j] = make([]float64, a.Rows())
 	}
-	if _, _, err := SolveCGMulti(a, rhs, dst, opts); err != nil {
+	if _, _, err := SolveCGMulti(a, rhs, dst, SolveOptions{}); err != nil {
 		b.Fatal(err) // warm the block-scratch pool
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := SolveCGMulti(a, rhs, dst, opts); err != nil {
+		if _, _, err := SolveCGMulti(a, rhs, dst, SolveOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-func BenchmarkSolveCGMulti4(b *testing.B)  { benchmarkSolveCGMulti(b, 4, SolveOptions{}) }
-func BenchmarkSolveCGMulti16(b *testing.B) { benchmarkSolveCGMulti(b, 16, SolveOptions{}) }
-func BenchmarkSolveCGMulti64(b *testing.B) { benchmarkSolveCGMulti(b, 64, SolveOptions{}) }
-
-// The float32 variant of the 64-lane solve: same fixture, half the
-// kernel memory traffic, plus the float64 verification pass.
-func BenchmarkSolveCGMulti64Float32(b *testing.B) {
-	benchmarkSolveCGMulti(b, 64, SolveOptions{Precision: PrecisionFloat32})
-}
+func BenchmarkSolveCGMulti4(b *testing.B)  { benchmarkSolveCGMulti(b, 4) }
+func BenchmarkSolveCGMulti16(b *testing.B) { benchmarkSolveCGMulti(b, 16) }
+func BenchmarkSolveCGMulti64(b *testing.B) { benchmarkSolveCGMulti(b, 64) }

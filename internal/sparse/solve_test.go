@@ -67,13 +67,21 @@ func TestSolveCGRandomSPD(t *testing.T) {
 
 func TestSolveCGZeroRHS(t *testing.T) {
 	a := Identity(5)
-	x, iters, err := SolveCG(a, make([]float64, 5), nil, SolveOptions{})
-	if err != nil || iters != 0 {
-		t.Fatalf("err=%v iters=%d", err, iters)
-	}
-	for _, v := range x {
-		if v != 0 {
-			t.Fatal("nonzero solution for zero rhs")
+	// An SPD system with b = 0 has the single solution x = 0, wherever
+	// the iteration was asked to start.
+	for name, x0 := range map[string][]float64{
+		"cold": nil,
+		"warm": {1, -2, 3, 0, 0.5},
+	} {
+		var st SolveStats
+		x, iters, err := SolveCG(a, make([]float64, 5), x0, SolveOptions{Stats: &st})
+		if err != nil || iters != 0 || st.Residual != 0 || !st.Converged {
+			t.Fatalf("%s: err=%v iters=%d stats=%+v", name, err, iters, st)
+		}
+		for _, v := range x {
+			if v != 0 {
+				t.Fatalf("%s: nonzero solution %v for zero rhs", name, x)
+			}
 		}
 	}
 }

@@ -13,8 +13,6 @@ import (
 	"math"
 	"slices"
 	"sort"
-	"sync"
-	"sync/atomic"
 )
 
 // Matrix is an immutable sparse matrix in compressed sparse row form.
@@ -24,16 +22,6 @@ type Matrix struct {
 	rowPtr     []int     // length rows+1
 	colIdx     []int     // length nnz
 	val        []float64 // length nnz
-
-	// val32 is a lazily-built float32 mirror of val for the reduced-
-	// precision kernels (SolveOptions.Precision). Because the matrix is
-	// immutable the mirror is computed at most once per matrix in
-	// practice; a racing double-build stores identical values, so the
-	// last-writer-wins semantics of Store are safe. The atomic.Pointer
-	// also makes the struct non-copyable by value, which `go vet`
-	// enforces — all construction in this package goes through &Matrix{}
-	// literals.
-	val32 atomic.Pointer[[]float32]
 }
 
 // Builder accumulates (row, col, value) triplets and produces a CSR Matrix.
@@ -223,34 +211,6 @@ func (m *Matrix) View() CSRView {
 	return CSRView{RowPtr: m.rowPtr, ColIdx: m.colIdx, Val: m.val}
 }
 
-// CSRView32 is CSRView with the values narrowed to float32, for the
-// reduced-precision kernels. RowPtr and ColIdx alias the float64
-// matrix; Val is the float32 mirror. The same aliasing rules as
-// CSRView apply.
-type CSRView32 struct {
-	RowPtr []int
-	ColIdx []int
-	Val    []float32
-}
-
-// View32 returns the matrix's CSR arrays with a float32 value mirror,
-// building the mirror on first use. Snapshot construction calls
-// Prewarm32 so serving-path calls never pay the O(nnz) conversion.
-func (m *Matrix) View32() CSRView32 {
-	if p := m.val32.Load(); p != nil {
-		return CSRView32{RowPtr: m.rowPtr, ColIdx: m.colIdx, Val: *p}
-	}
-	v := make([]float32, len(m.val))
-	for i, x := range m.val {
-		v[i] = float32(x)
-	}
-	m.val32.Store(&v)
-	return CSRView32{RowPtr: m.rowPtr, ColIdx: m.colIdx, Val: v}
-}
-
-// Prewarm32 eagerly builds the float32 value mirror (idempotent).
-func (m *Matrix) Prewarm32() { m.View32() }
-
 // FromCSR freezes already-assembled CSR arrays into a Matrix, taking
 // ownership of the slices (callers must not retain or modify them).
 // It is the fast path for kernels that emit rows in ascending order
@@ -346,57 +306,6 @@ func (m *Matrix) MulVec(x, dst []float64) []float64 {
 		dst[r] = s
 	}
 	return dst
-}
-
-// MulVecParallel computes y = M x with rows partitioned across
-// workers. Each worker owns a contiguous row range, so no
-// synchronization is needed beyond the final join; results are
-// bit-identical to MulVec. It falls back to the sequential kernel for
-// small matrices or workers ≤ 1.
-func (m *Matrix) MulVecParallel(x, dst []float64, workers int) []float64 {
-	if len(x) != m.cols {
-		panic(fmt.Sprintf("sparse: MulVecParallel dimension mismatch: matrix %dx%d, vector %d", m.rows, m.cols, len(x)))
-	}
-	if len(dst) != m.rows {
-		dst = make([]float64, m.rows)
-	}
-	if workers <= 1 || m.rows < 4*workers || m.NNZ() < 4096 {
-		return m.MulVec(x, dst)
-	}
-	m.mulVecWorkers(x, dst, workers)
-	return dst
-}
-
-// mulVecWorkers is MulVecParallel's fan-out body. It lives in its own
-// function so the goroutine closure's captured variables are only
-// heap-allocated when the parallel path actually runs — inlined into
-// MulVecParallel, the capture made every sequential-fallback call (one
-// per CG iteration) allocate at function entry.
-func (m *Matrix) mulVecWorkers(x, dst []float64, workers int) {
-	var wg sync.WaitGroup
-	chunk := (m.rows + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > m.rows {
-			hi = m.rows
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			for r := lo; r < hi; r++ {
-				s := 0.0
-				for i := m.rowPtr[r]; i < m.rowPtr[r+1]; i++ {
-					s += m.val[i] * x[m.colIdx[i]]
-				}
-				dst[r] = s
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
 }
 
 // MulVecT computes y = Mᵀ x without materializing the transpose.

@@ -40,7 +40,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/querylog"
 	"repro/internal/server"
-	"repro/internal/sparse"
 	"repro/internal/synth"
 	"repro/internal/topicmodel"
 )
@@ -92,11 +91,11 @@ type Config struct {
 	TrainingIterations int
 	// Seed drives every stochastic component (sampler initialization).
 	Seed int64
-	// Workers parallelizes all three compute stages: UPM training
-	// across user documents, the Eq. 15 CG solve's mat-vec across
-	// matrix rows, and the hitting-time sweeps of the diversification
-	// stage across matrix rows (0/1 = sequential; results are
-	// bit-identical at any worker count).
+	// Workers parallelizes UPM training across user documents (0/1 =
+	// sequential; the trained model is bit-identical at any worker
+	// count). It is a training-time knob only: at serving time every
+	// request runs its kernels on one goroutine and the unit of
+	// parallelism is the request.
 	Workers int
 	// DiversificationOnly skips user profiling: Suggest returns the
 	// diversified ranking unchanged (the intermediate system of the
@@ -113,13 +112,6 @@ type Config struct {
 	// Per-request overrides go through SuggestRequest.Strategy; unknown
 	// names are rejected by NewEngine.
 	Strategy string
-	// Precision selects the floating-point width of the CG-solve and
-	// hitting-sweep inner loops: "float64" (default; bit-exact
-	// reference) or "float32" (roughly halves kernel memory traffic;
-	// ~1e-7 relative error, far below the solver tolerance, and the CG
-	// solve self-verifies in float64 and falls back when a system is
-	// too ill-conditioned for float32). Any other value is an error.
-	Precision string
 	// CompactCache bounds the engine's LRU of built compact
 	// representations keyed by (snapshot generation, seed IDs). A hit
 	// skips the representation carving and its derived matrices
@@ -146,14 +138,6 @@ func NewEngine(l *Log, cfg Config) (*Engine, error) {
 		},
 		SkipPersonalization: cfg.DiversificationOnly,
 	}
-	cc.Regularize.Solver.Workers = cfg.Workers
-	cc.Hitting.Workers = cfg.Workers
-	prec, err := sparse.ParsePrecision(cfg.Precision)
-	if err != nil {
-		return nil, fmt.Errorf("pqsda: %w", err)
-	}
-	cc.Regularize.Solver.Precision = prec
-	cc.Hitting.Precision = prec
 	if cfg.RawWeights {
 		cc.Weighting = bipartite.Raw
 	} else {

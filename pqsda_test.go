@@ -90,10 +90,9 @@ func TestFacadeOneShotSuggest(t *testing.T) {
 }
 
 // TestFacadeWorkersDeterministic pins the -workers contract end to end:
-// every compute stage (UPM training, the Eq. 15 CG solve, hitting-time
-// sweeps) is bit-identical at any worker count, so two engines differing
-// only in Workers must suggest exactly the same queries in the same
-// order.
+// UPM training is bit-identical at any worker count, so two engines
+// differing only in Workers must suggest exactly the same queries in
+// the same order.
 func TestFacadeWorkersDeterministic(t *testing.T) {
 	w := facadeWorld(t)
 	base := Config{CompactBudget: 60, Topics: 5, TrainingIterations: 20}
