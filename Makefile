@@ -58,7 +58,6 @@ bench:
 	$(GO) test -run '^$$' -bench 'RefreshBuild' -benchmem -count 5 ./internal/core/ | tee -a .bench.out
 	$(GO) test -run '^$$' -bench 'ShedPath' -benchmem -count 5 ./internal/server/ | tee -a .bench.out
 	$(GO) test -run '^$$' -bench 'SnapshotLoad' -benchmem -count 5 ./internal/snapwire/ | tee -a .bench.out
-	$(GO) test -run '^$$' -bench 'LegacyGobLoad|ConvertedWireLoad' -benchmem -count 5 ./cmd/snaptool/ | tee -a .bench.out
 	$(GO) run ./cmd/benchjson -o $(BENCH_OUT) < .bench.out
 	@rm -f .bench.out
 

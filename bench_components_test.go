@@ -74,7 +74,7 @@ func BenchmarkServerSuggest(b *testing.B) {
 		body, _ := json.Marshal(server.SuggestRequest{
 			User: users[i%len(users)], Query: qs[i%len(qs)], K: 10,
 		})
-		resp, err := http.Post(ts.URL+"/api/suggest", "application/json", bytes.NewReader(body))
+		resp, err := http.Post(ts.URL+"/v1/suggest", "application/json", bytes.NewReader(body))
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -132,7 +132,7 @@ func BenchmarkSuggestDiversified(b *testing.B) {
 	now := time.Now()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := e.SuggestDiversified(qs[i%len(qs)], nil, now, 10); err != nil {
+		if _, err := e.Do(context.Background(), SuggestRequest{Query: qs[i%len(qs)], At: now, K: 10, SkipPersonalization: true, NoCache: true}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -159,7 +159,7 @@ func BenchmarkSuggestDiversifiedArena(b *testing.B) {
 	now := time.Now()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := benchArenaEngine.SuggestDiversified(qs[i%len(qs)], nil, now, 10); err != nil {
+		if _, err := benchArenaEngine.Do(context.Background(), SuggestRequest{Query: qs[i%len(qs)], At: now, K: 10, SkipPersonalization: true, NoCache: true}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -215,7 +215,7 @@ func BenchmarkSuggestPersonalized(b *testing.B) {
 	now := time.Now()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := e.Suggest(users[i%len(users)], qs[i%len(qs)], nil, now, 10); err != nil {
+		if _, err := e.Do(context.Background(), SuggestRequest{User: users[i%len(users)], Query: qs[i%len(qs)], At: now, K: 10}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -228,7 +228,7 @@ func main() {
 			srv.EnableSLO(scfg)
 			defer srv.Close()
 		}
-		fmt.Fprintf(os.Stderr, "serving suggestion API on %s (GET /v1/suggest?user=&q=&k=&debug=trace; health on /v1/health; stats on /v1/stats, /metrics, /debug/traces, /debug/exemplars, /debug/flightrecorder, /debug/vars; request timeout %v; slow-query %v; cache %d entries; admission %v; slo %v (p99 %v, availability %g); max body %d bytes; pprof %v)\n",
+		fmt.Fprintf(os.Stderr, "serving suggestion API on %s (GET /v1/suggest?user=&q=&k=&debug=trace; health on /v1/health; stats on /v1/stats, /metrics, /debug/traces, /debug/exemplars, /debug/flightrecorder; request timeout %v; slow-query %v; cache %d entries; admission %v; slo %v (p99 %v, availability %g); max body %d bytes; pprof %v)\n",
 			*serve, *reqTimout, *slowQuery, *cacheSize, *admissionOn, *sloOn, *sloP99, *sloAvail, *maxBody, *pprofFlag)
 		if err := serveHTTP(*serve, srv.Handler(), *drainWait); err != nil {
 			fatal(err)

@@ -1,13 +1,8 @@
-// Command snaptool inspects, verifies and migrates engine snapshot
-// images (the snapwire format documented in DESIGN.md).
+// Command snaptool inspects and verifies engine snapshot images (the
+// snapwire format documented in DESIGN.md).
 //
-//	snaptool inspect engine.bin          # header, section table, sizes
-//	snaptool verify engine.bin           # full checksum + assembly check
-//	snaptool convert old.gob engine.bin  # migrate a pre-wire gob file
-//
-// convert exists because the serving binary reads only the wire
-// format: files written by pqsda -save before the format change are
-// rejected with a pointer here.
+//	snaptool inspect engine.bin  # header, section table, sizes
+//	snaptool verify engine.bin   # full checksum + assembly check
 package main
 
 import (
@@ -27,7 +22,7 @@ func main() {
 }
 
 func usage() error {
-	return errors.New("usage: snaptool inspect FILE | verify FILE | convert IN.gob OUT.bin")
+	return errors.New("usage: snaptool inspect FILE | verify FILE")
 }
 
 func run(args []string, out io.Writer) error {
@@ -45,11 +40,6 @@ func run(args []string, out io.Writer) error {
 			return usage()
 		}
 		return verify(args[1], out)
-	case "convert":
-		if len(args) != 3 {
-			return usage()
-		}
-		return convert(args[1], args[2], out)
 	default:
 		return fmt.Errorf("unknown command %q\n%v", cmd, usage())
 	}
@@ -99,26 +89,5 @@ func verify(path string, out io.Writer) error {
 	}
 	fmt.Fprintf(out, "%s: OK (v%d, %d bytes, %d sections, %d queries, %d sessions, profiles: %s)\n",
 		path, l.Version, l.Size, len(l.Sections), l.Snap.Rep.NumQueries(), len(sessions), profiles)
-	return nil
-}
-
-// convert migrates a legacy gob engine file to the wire format.
-func convert(in, outPath string, out io.Writer) error {
-	data, err := os.ReadFile(in)
-	if err != nil {
-		return err
-	}
-	if _, err := snapwire.Inspect(data); err == nil {
-		return fmt.Errorf("%s is already a snapwire image", in)
-	}
-	img, err := convertLegacy(data)
-	if err != nil {
-		return fmt.Errorf("converting %s: %w", in, err)
-	}
-	if err := os.WriteFile(outPath, img, 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(out, "%s (%d bytes gob) -> %s (%d bytes snapwire v%d)\n",
-		in, len(data), outPath, len(img), snapwire.Version)
 	return nil
 }

@@ -2,135 +2,44 @@ package main
 
 import (
 	"bytes"
-	"context"
 	"errors"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"testing"
 
+	"repro/internal/bipartite"
 	"repro/internal/core"
 	"repro/internal/snapwire"
+	"repro/internal/synth"
+	"repro/internal/topicmodel"
 )
 
-// convertFixture converts one testdata gob file into dir and returns
-// the output path plus the decoded legacy mirror for cross-checks.
-func convertFixture(t *testing.T, dir, name string) (string, *gobEngine) {
+// writeImage builds a small personalized engine and writes its wire
+// image into dir.
+func writeImage(t *testing.T, dir string) string {
 	t.Helper()
-	in := filepath.Join("testdata", name)
-	out := filepath.Join(dir, strings.TrimSuffix(name, ".gob")+".bin")
-	var buf bytes.Buffer
-	if err := run([]string{"convert", in, out}, &buf); err != nil {
-		t.Fatalf("convert %s: %v", name, err)
-	}
-	data, err := os.ReadFile(in)
+	w := synth.Generate(synth.Config{Seed: 51, NumFacets: 6, NumUsers: 12, SessionsPerUser: 15})
+	eng, err := core.NewEngine(w.Log, core.Config{
+		Compact: bipartite.CompactConfig{Budget: 60},
+		UPM:     topicmodel.UPMConfig{K: 6, Iterations: 25, Seed: 1, HyperRounds: 1, HyperIters: 5},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	legacy, err := decodeLegacy(data)
+	img, err := eng.WireImage()
 	if err != nil {
 		t.Fatal(err)
 	}
-	return out, legacy
-}
-
-func TestConvertedImageServes(t *testing.T) {
-	for _, name := range []string{"legacy_engine.gob", "legacy_engine_divonly.gob"} {
-		t.Run(name, func(t *testing.T) {
-			out, legacy := convertFixture(t, t.TempDir(), name)
-
-			// The converted image must pass the full verifier.
-			if err := run([]string{"verify", out}, new(bytes.Buffer)); err != nil {
-				t.Fatalf("verify: %v", err)
-			}
-
-			// And load into a serving engine whose shape matches the
-			// legacy file exactly.
-			eng, err := core.LoadEngineFile(out)
-			if err != nil {
-				t.Fatalf("loading converted image: %v", err)
-			}
-			snap := eng.Snapshot()
-			if got, want := snap.Rep.NumQueries(), len(legacy.Rep.Queries.Names); got != want {
-				t.Fatalf("queries %d, want %d", got, want)
-			}
-			// Sessions decode lazily — count them off the image itself.
-			img, err := os.ReadFile(out)
-			if err != nil {
-				t.Fatal(err)
-			}
-			l, err := snapwire.Load(img)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sessions, err := l.DecodeSessions()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got, want := len(sessions), len(legacy.Rep.Sessions); got != want {
-				t.Fatalf("sessions %d, want %d", got, want)
-			}
-			if legacy.HasUPM != (snap.Profiles != nil) {
-				t.Fatalf("profiles present=%v, legacy hasUPM=%v", snap.Profiles != nil, legacy.HasUPM)
-			}
-
-			// Every registered strategy serves suggestions for a query
-			// the legacy engine knew, personalized when profiles exist.
-			query := legacy.Rep.Queries.Names[0]
-			user := ""
-			if legacy.HasUPM {
-				users := make([]string, 0, len(legacy.UPM.DocID))
-				for u := range legacy.UPM.DocID {
-					users = append(users, u)
-				}
-				sort.Strings(users)
-				user = users[0]
-			}
-			for _, strat := range eng.StrategyNames() {
-				res, err := eng.Do(context.Background(), core.SuggestRequest{
-					Strategy: strat, User: user, Query: query, K: 5,
-				})
-				if err != nil {
-					t.Fatalf("strategy %s: %v", strat, err)
-				}
-				if len(res.Suggestions) == 0 {
-					t.Fatalf("strategy %s returned no suggestions for %q", strat, query)
-				}
-			}
-		})
-	}
-}
-
-func TestConvertedUPMMatchesLegacyDims(t *testing.T) {
-	out, legacy := convertFixture(t, t.TempDir(), "legacy_engine.gob")
-	img, err := os.ReadFile(out)
-	if err != nil {
+	out := filepath.Join(dir, "engine.bin")
+	if err := os.WriteFile(out, img, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	l, err := snapwire.Load(img)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !l.Meta.HasUPM {
-		t.Fatal("converted image lost the UPM")
-	}
-	if l.Meta.UPMVocab != legacy.UPM.V || l.Meta.UPMURLs != legacy.UPM.U {
-		t.Fatalf("UPM dims V=%d U=%d, legacy V=%d U=%d",
-			l.Meta.UPMVocab, l.Meta.UPMURLs, legacy.UPM.V, legacy.UPM.U)
-	}
-	if got, want := l.Words.Len(), len(legacy.WordIndex.Names); got != want {
-		t.Fatalf("vocabulary %d, want %d", got, want)
-	}
-	// Every legacy user profile survived with its original id.
-	st := l.Snap.Profiles.UPM().State()
-	if st.D != len(legacy.UPM.DocID) {
-		t.Fatalf("profiles %d, want %d", st.D, len(legacy.UPM.DocID))
-	}
+	return out
 }
 
 func TestInspectAndVerifyOutput(t *testing.T) {
-	out, _ := convertFixture(t, t.TempDir(), "legacy_engine.gob")
+	out := writeImage(t, t.TempDir())
 
 	var buf bytes.Buffer
 	if err := run([]string{"inspect", out}, &buf); err != nil {
@@ -147,65 +56,33 @@ func TestInspectAndVerifyOutput(t *testing.T) {
 	if err := run([]string{"verify", out}, &buf); err != nil {
 		t.Fatalf("verify: %v", err)
 	}
-	if !strings.Contains(buf.String(), "OK") {
+	if !strings.Contains(buf.String(), "OK") || !strings.Contains(buf.String(), "profiles: yes") {
 		t.Fatalf("verify output: %s", buf.String())
 	}
 }
 
 func TestCommandErrors(t *testing.T) {
-	dir := t.TempDir()
-	out, _ := convertFixture(t, dir, "legacy_engine.gob")
-
-	// inspect/verify on a gob file names the migration path.
-	err := run([]string{"inspect", filepath.Join("testdata", "legacy_engine.gob")}, new(bytes.Buffer))
-	if !errors.Is(err, snapwire.ErrLegacyGob) {
-		t.Fatalf("inspect on gob: %v", err)
-	}
-
-	// convert refuses an already-converted image.
-	err = run([]string{"convert", out, filepath.Join(dir, "twice.bin")}, new(bytes.Buffer))
-	if err == nil || !strings.Contains(err.Error(), "already") {
-		t.Fatalf("convert on wire image: %v", err)
-	}
-
-	// convert rejects garbage.
-	garbage := filepath.Join(dir, "garbage.gob")
-	if err := os.WriteFile(garbage, []byte("not a gob stream"), 0o644); err != nil {
+	// inspect/verify refuse an encoding/gob stream at the magic check.
+	gobFile := filepath.Join(t.TempDir(), "engine.gob")
+	if err := os.WriteFile(gobFile, []byte("\x1f\xff\x81\x03\x01\x01\nengineWire\x01\xff\x82\x00"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	err = run([]string{"convert", garbage, filepath.Join(dir, "g.bin")}, new(bytes.Buffer))
-	if err == nil {
-		t.Fatal("convert accepted garbage")
+	for _, cmd := range []string{"inspect", "verify"} {
+		err := run([]string{cmd, gobFile}, new(bytes.Buffer))
+		if !errors.Is(err, snapwire.ErrFormat) || !strings.Contains(err.Error(), "bad magic") {
+			t.Fatalf("%s on gob: %v", cmd, err)
+		}
 	}
 
-	// Bad usage.
-	if err := run(nil, new(bytes.Buffer)); err == nil {
-		t.Fatal("no args accepted")
+	// Bad usage names the two subcommands.
+	err := run(nil, new(bytes.Buffer))
+	if err == nil || !strings.Contains(err.Error(), "inspect FILE | verify FILE") {
+		t.Fatalf("no args: %v", err)
+	}
+	if err := run([]string{"inspect"}, new(bytes.Buffer)); err == nil {
+		t.Fatal("inspect without a file accepted")
 	}
 	if err := run([]string{"frobnicate"}, new(bytes.Buffer)); err == nil {
 		t.Fatal("unknown command accepted")
-	}
-}
-
-// TestConvertedEncodeIsStable expects convert → load → save to be a
-// fixed point: a loaded engine serves its original image verbatim (the
-// engine seeds its image cache with the loaded buffer), so nothing —
-// lazily-decoded sessions included — is lost by a save-after-load.
-func TestConvertedEncodeIsStable(t *testing.T) {
-	out, _ := convertFixture(t, t.TempDir(), "legacy_engine.gob")
-	img, err := os.ReadFile(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng, err := core.LoadEngine(bytes.NewReader(img))
-	if err != nil {
-		t.Fatal(err)
-	}
-	again, err := eng.WireImage()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(img, again) {
-		t.Fatalf("re-encode differs: %d vs %d bytes", len(img), len(again))
 	}
 }

@@ -1,6 +1,7 @@
 package pqsda_test
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -49,7 +50,7 @@ func ExampleNewEngine() {
 	if err != nil {
 		panic(err)
 	}
-	res, err := engine.SuggestDiversified("sun", nil, time.Now(), 3)
+	res, err := engine.Do(context.Background(), pqsda.SuggestRequest{Query: "sun", At: time.Now(), K: 3, SkipPersonalization: true, NoCache: true})
 	if err != nil {
 		panic(err)
 	}

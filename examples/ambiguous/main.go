@@ -78,7 +78,7 @@ func main() {
 	}
 
 	// Diversification alone: one list covering all facets of "sun".
-	res, err := engine.SuggestDiversified("sun", nil, time.Now(), 6)
+	res, err := engine.Do(context.Background(), pqsda.SuggestRequest{Query: "sun", At: time.Now(), K: 6, SkipPersonalization: true, NoCache: true})
 	if err != nil {
 		panic(err)
 	}

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -73,7 +74,7 @@ func main() {
 		suggest func(q string) []string
 	}{
 		{"PQS-DA", func(q string) []string {
-			res, err := engine.SuggestDiversified(q, nil, time.Now(), k)
+			res, err := engine.Do(context.Background(), core.SuggestRequest{Query: q, At: time.Now(), K: k, SkipPersonalization: true, NoCache: true})
 			if err != nil {
 				return nil
 			}

@@ -68,7 +68,7 @@ func TestLiveDeploymentLoop(t *testing.T) {
 
 	// Phase 1: visitors search; the middleware records everything.
 	for _, e := range future {
-		if code := post("/api/log", server.LogRequest{
+		if code := post("/v1/log", server.LogRequest{
 			User: e.UserID, Query: e.Query, ClickedURL: e.ClickedURL,
 			At: e.Time.Format(time.RFC3339),
 		}, nil); code != 200 {
@@ -78,18 +78,18 @@ func TestLiveDeploymentLoop(t *testing.T) {
 
 	// Phase 2: fold the visitors into the profiles via the API.
 	for _, v := range visitors {
-		if code := post("/api/learn", server.LearnRequest{User: v}, nil); code != 200 {
+		if code := post("/v1/learn", server.LearnRequest{User: v}, nil); code != 200 {
 			t.Fatalf("learn %s: status %d", v, code)
 		}
-		// /api/learn hot-swaps a cloned engine in; read the serving one.
+		// /v1/learn hot-swaps a cloned engine in; read the serving one.
 		if srv.Engine().Profiles().Theta(v) == nil {
-			t.Fatalf("visitor %s unprofiled after /api/learn", v)
+			t.Fatalf("visitor %s unprofiled after /v1/learn", v)
 		}
 	}
 
 	// Phase 3: refresh the graphs so the visitors' queries are servable.
 	var refreshed map[string]any
-	if code := post("/api/refresh", server.RefreshRequest{Mode: "graphs"}, &refreshed); code != 200 {
+	if code := post("/v1/refresh", server.RefreshRequest{Mode: "graphs"}, &refreshed); code != 200 {
 		t.Fatalf("refresh: status %d (%v)", code, refreshed)
 	}
 	if int(refreshed["ingested"].(float64)) != len(future) {
@@ -106,7 +106,7 @@ func TestLiveDeploymentLoop(t *testing.T) {
 		}
 	}
 	var out server.SuggestResponse
-	if code := post("/api/suggest", server.SuggestRequest{
+	if code := post("/v1/suggest", server.SuggestRequest{
 		User: visitors[0], Query: visitorQuery, K: 8,
 	}, &out); code != 200 {
 		t.Fatalf("suggest: status %d", code)
@@ -121,7 +121,7 @@ func TestLiveDeploymentLoop(t *testing.T) {
 		if i == 0 {
 			rating = 1.0
 		}
-		if code := post("/api/feedback", server.Feedback{
+		if code := post("/v1/feedback", server.Feedback{
 			User: visitors[0], Query: visitorQuery, Suggestion: s, Rating: rating,
 		}, nil); code != 200 {
 			t.Fatalf("feedback: status %d", code)

@@ -15,7 +15,7 @@ import (
 //
 // Clone is the foundation of non-blocking refresh: mutate the clone
 // (Ingest, Refresh, LearnUser) off the serving path, then atomically
-// swap it in. The original keeps serving Suggest throughout.
+// swap it in. The original keeps serving Do throughout.
 //
 // The clone's snapshot gets the NEXT generation number and shares the
 // suggestion cache: once the clone is swapped in, cache entries

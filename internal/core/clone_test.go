@@ -61,7 +61,7 @@ func TestRebuildLeavesOriginalServable(t *testing.T) {
 	}
 	// Both engines serve.
 	for _, eng := range []*Engine{e, next} {
-		if _, err := eng.Suggest("", q, nil, time.Now(), 5); err != nil {
+		if _, err := eng.Do(context.Background(), SuggestRequest{Query: q, At: time.Now(), K: 5}); err != nil {
 			t.Fatalf("engine unservable after Rebuild: %v", err)
 		}
 	}
@@ -91,14 +91,14 @@ func TestSuggestContextCancelled(t *testing.T) {
 	q := pickQuery(t, w)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := e.SuggestContext(ctx, "", q, nil, time.Now(), 5)
+	_, err := e.Do(ctx, SuggestRequest{Query: q, At: time.Now(), K: 5})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("Suggest with cancelled ctx: err = %v, want context.Canceled", err)
 	}
 	// And an expired deadline likewise.
 	dctx, dcancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer dcancel()
-	_, err = e.SuggestContext(dctx, "", q, nil, time.Now(), 5)
+	_, err = e.Do(dctx, SuggestRequest{Query: q, At: time.Now(), K: 5})
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("Suggest with expired deadline: err = %v, want context.DeadlineExceeded", err)
 	}
@@ -113,7 +113,7 @@ func TestTermFallbackServesColdQuery(t *testing.T) {
 	known := pickQuery(t, w)
 	// A cold query sharing a term with a known one.
 	cold := known + " zzznovel"
-	res, err := e.Suggest("", cold, nil, time.Now(), 5)
+	res, err := e.Do(context.Background(), SuggestRequest{Query: cold, At: time.Now(), K: 5})
 	if err != nil {
 		t.Fatalf("cold query via term fallback: %v", err)
 	}
@@ -121,7 +121,7 @@ func TestTermFallbackServesColdQuery(t *testing.T) {
 		t.Fatal("cold query served no suggestions despite shared terms")
 	}
 	// Deterministic across calls (sort.Slice ordering is total).
-	res2, err := e.Suggest("", cold, nil, time.Now(), 5)
+	res2, err := e.Do(context.Background(), SuggestRequest{Query: cold, At: time.Now(), K: 5})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"reflect"
 	"testing"
 	"time"
@@ -47,8 +48,8 @@ func TestCompactCacheBitIdentical(t *testing.T) {
 	// Two passes: the second pass on the cached engine hits the LRU.
 	for pass := 0; pass < 2; pass++ {
 		for _, q := range qs {
-			got, gerr := cached.SuggestDiversified(q, nil, now, 8)
-			want, werr := uncached.SuggestDiversified(q, nil, now, 8)
+			got, gerr := cached.Do(context.Background(), SuggestRequest{Query: q, At: now, K: 8, SkipPersonalization: true, NoCache: true})
+			want, werr := uncached.Do(context.Background(), SuggestRequest{Query: q, At: now, K: 8, SkipPersonalization: true, NoCache: true})
 			if (gerr == nil) != (werr == nil) {
 				t.Fatalf("pass %d %q: err %v vs %v", pass, q, gerr, werr)
 			}
@@ -84,7 +85,7 @@ func TestCompactCacheGenerationInvalidation(t *testing.T) {
 	e := testEngineCompactCache(t, w, 0)
 	q := pickQuery(t, w)
 	now := time.Now()
-	if _, err := e.SuggestDiversified(q, nil, now, 8); err != nil {
+	if _, err := e.Do(context.Background(), SuggestRequest{Query: q, At: now, K: 8, SkipPersonalization: true, NoCache: true}); err != nil {
 		t.Fatal(err)
 	}
 	missesBefore := e.CompactCacheStats().Misses
@@ -95,7 +96,7 @@ func TestCompactCacheGenerationInvalidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := next.SuggestDiversified(q, nil, now, 8)
+	got, err := next.Do(context.Background(), SuggestRequest{Query: q, At: now, K: 8, SkipPersonalization: true, NoCache: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +117,7 @@ func TestCompactCacheGenerationInvalidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := fresh.SuggestDiversified(q, nil, now, 8)
+	want, err := fresh.Do(context.Background(), SuggestRequest{Query: q, At: now, K: 8, SkipPersonalization: true, NoCache: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +136,7 @@ func TestCompactCacheEviction(t *testing.T) {
 	}
 	now := time.Now()
 	for _, q := range qs {
-		if _, err := e.SuggestDiversified(q, nil, now, 8); err != nil {
+		if _, err := e.Do(context.Background(), SuggestRequest{Query: q, At: now, K: 8, SkipPersonalization: true, NoCache: true}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -251,28 +251,6 @@ func (e *Engine) LastBuild() snapshot.Stats { return e.snap.Load().Stats }
 // Strategy returns the configured default refresh build strategy.
 func (e *Engine) Strategy() RefreshStrategy { return e.cfg.Strategy }
 
-// SuggestDiversified runs the diversification component only: compact
-// representation, Eq. 15 first candidate, cross-bipartite hitting-time
-// selection. sctx lists the user's previous queries in the current
-// session (most recent last); at is the submission time of the input
-// query, used for the Eq. 7 decay.
-func (e *Engine) SuggestDiversified(query string, sctx []querylog.Entry, at time.Time, k int) (Result, error) {
-	return e.SuggestDiversifiedContext(context.Background(), query, sctx, at, k)
-}
-
-// SuggestDiversifiedContext is SuggestDiversified with request-scoped
-// cancellation, threaded into the Eq. 15 CG solve and the hitting-time
-// greedy loop. On deadline overrun the returned error wraps ctx.Err()
-// and the Result keeps the stage timings completed so far, so callers
-// can report partial progress.
-func (e *Engine) SuggestDiversifiedContext(ctx context.Context, query string, sctx []querylog.Entry, at time.Time, k int) (Result, error) {
-	name, div, err := e.resolveStrategy("")
-	if err != nil {
-		return Result{}, err
-	}
-	return e.suggestDiversifiedOn(ctx, e.snap.Load(), div, name, query, sctx, at, k)
-}
-
 // suggestDiversifiedOn is the pipeline body, pinned to one snapshot so
 // a request never mixes state across a concurrent hot-swap. div is the
 // resolved diversification strategy (selection stage); name its
@@ -432,32 +410,13 @@ func (e *Engine) runSelection(ctx context.Context, snap *snapshot.Snapshot, comp
 	return herr
 }
 
-// Suggest runs the full pipeline: diversification followed by
-// personalized re-ranking (preference scores + Borda aggregation) when
-// the engine has profiles and knows the user.
-//
-// Deprecated: use Do with a SuggestRequest; the positional form is kept
-// as a thin wrapper for source compatibility.
-func (e *Engine) Suggest(userID, query string, sctx []querylog.Entry, at time.Time, k int) (Result, error) {
-	return e.Do(context.Background(), SuggestRequest{User: userID, Query: query, Context: sctx, At: at, K: k})
-}
-
-// SuggestContext is Suggest with request-scoped cancellation threaded
-// through every stage (see SuggestDiversifiedContext).
-//
-// Deprecated: use Do with a SuggestRequest; the positional form is kept
-// as a thin wrapper for source compatibility.
-func (e *Engine) SuggestContext(ctx context.Context, userID, query string, sctx []querylog.Entry, at time.Time, k int) (Result, error) {
-	return e.Do(ctx, SuggestRequest{User: userID, Query: query, Context: sctx, At: at, K: k})
-}
-
 // LearnUser folds a (new or returning) user's search history into the
 // trained profiles WITHOUT retraining the UPM: the user's sessions are
 // Gibbs-sampled against the learned global topics (see
 // topicmodel.UPM.FoldIn). The fold-in runs on a clone of the UPM and is
 // published as a new snapshot (same generation — learning does not
 // invalidate the suggestion cache, which stores user-independent
-// lists), so concurrent Suggest calls never observe a half-updated
+// lists), so concurrent Do calls never observe a half-updated
 // model. It returns an error when the engine has no profiles.
 func (e *Engine) LearnUser(userID string, entries []querylog.Entry) error {
 	prev := e.snap.Load()

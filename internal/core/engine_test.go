@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -53,7 +54,7 @@ func TestSuggestDiversifiedBasics(t *testing.T) {
 	w := testWorld(t)
 	e := testEngine(t, w, true)
 	q := pickQuery(t, w)
-	res, err := e.SuggestDiversified(q, nil, time.Now(), 8)
+	res, err := e.Do(context.Background(), SuggestRequest{Query: q, At: time.Now(), K: 8, SkipPersonalization: true, NoCache: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +95,7 @@ func TestSuggestDiversifiedContextExcluded(t *testing.T) {
 	}
 	input := sess.Entries[1]
 	ctx := []querylog.Entry{sess.Entries[0]}
-	res, err := e.SuggestDiversified(input.Query, ctx, input.Time, 8)
+	res, err := e.Do(context.Background(), SuggestRequest{Query: input.Query, Context: ctx, At: input.Time, K: 8, SkipPersonalization: true, NoCache: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +113,7 @@ func TestSuggestPersonalizedReordersOnly(t *testing.T) {
 	e := testEngine(t, w, false)
 	q := pickQuery(t, w)
 	user := w.UserIDs()[0]
-	res, err := e.Suggest(user, q, nil, time.Now(), 8)
+	res, err := e.Do(context.Background(), SuggestRequest{User: user, Query: q, At: time.Now(), K: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +135,7 @@ func TestSuggestUnknownUserFallsBack(t *testing.T) {
 	w := testWorld(t)
 	e := testEngine(t, w, false)
 	q := pickQuery(t, w)
-	res, err := e.Suggest("total-stranger", q, nil, time.Now(), 6)
+	res, err := e.Do(context.Background(), SuggestRequest{User: "total-stranger", Query: q, At: time.Now(), K: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +156,7 @@ func TestSuggestUnknownQueryTermFallback(t *testing.T) {
 	if _, ok := e.Rep().QueryID(unseen); ok {
 		t.Skip("fixture collision")
 	}
-	res, err := e.SuggestDiversified(unseen, nil, time.Now(), 5)
+	res, err := e.Do(context.Background(), SuggestRequest{Query: unseen, At: time.Now(), K: 5, SkipPersonalization: true, NoCache: true})
 	if err != nil {
 		t.Fatalf("term fallback failed: %v", err)
 	}
@@ -167,7 +168,7 @@ func TestSuggestUnknownQueryTermFallback(t *testing.T) {
 func TestSuggestTotallyUnknownQuery(t *testing.T) {
 	w := testWorld(t)
 	e := testEngine(t, w, true)
-	if _, err := e.SuggestDiversified("zzz yyy xxx", nil, time.Now(), 5); err != ErrUnknownQuery {
+	if _, err := e.Do(context.Background(), SuggestRequest{Query: "zzz yyy xxx", At: time.Now(), K: 5, SkipPersonalization: true, NoCache: true}); err != ErrUnknownQuery {
 		t.Fatalf("err = %v, want ErrUnknownQuery", err)
 	}
 }
@@ -175,7 +176,7 @@ func TestSuggestTotallyUnknownQuery(t *testing.T) {
 func TestSuggestBadK(t *testing.T) {
 	w := testWorld(t)
 	e := testEngine(t, w, true)
-	if _, err := e.SuggestDiversified(pickQuery(t, w), nil, time.Now(), 0); err == nil {
+	if _, err := e.Do(context.Background(), SuggestRequest{Query: pickQuery(t, w), At: time.Now(), K: 0, SkipPersonalization: true, NoCache: true}); err == nil {
 		t.Fatal("k = 0 accepted")
 	}
 }
@@ -229,7 +230,7 @@ func TestPersonalizeRanksOwnFacetHigher(t *testing.T) {
 		if !headFacets[userFacet] {
 			continue
 		}
-		res, err := e.Suggest(u, head, nil, time.Now(), 10)
+		res, err := e.Do(context.Background(), SuggestRequest{User: u, Query: head, At: time.Now(), K: 10})
 		if err != nil {
 			continue
 		}

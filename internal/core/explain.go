@@ -38,7 +38,7 @@ type CandidateExplanation struct {
 	BordaPoints int
 }
 
-// Explain runs the full pipeline like Suggest but returns the
+// Explain runs the full pipeline like Do but returns the
 // per-candidate diagnostics alongside the ranking. It costs one extra
 // hitting-time evaluation per candidate.
 func (e *Engine) Explain(userID, query string, context []querylog.Entry, at time.Time, k int) (Explanation, error) {
@@ -59,33 +59,13 @@ func (e *Engine) Explain(userID, query string, context []querylog.Entry, at time
 	}
 	ex.CompactSize = res.CompactSize
 
-	// Recompute the stage internals for the diagnostics, mirroring
-	// SuggestDiversifiedContext's seed classification: input-derived
-	// seeds (including term-fallback stand-ins) anchor F⁰ at weight 1,
-	// only true search context decays per Eq. 7.
+	// Recompute the stage internals for the diagnostics through the same
+	// seed classification the run above used.
 	seeds, seedTimes, nInput := resolveSeeds(snap.Rep, query, context, at)
 	compact, _ := e.compactFor(snap, seeds)
-	seedLocals := make([]int, 0, len(seeds))
-	var rctx []regularize.ContextEntry
-	inputSeeds := 0
-	for i := range seeds {
-		local, ok := compact.LocalOf[seeds[i]]
-		if !ok {
-			continue
-		}
-		seedLocals = append(seedLocals, local)
-		if i < nInput {
-			inputSeeds++
-		} else {
-			rctx = append(rctx, regularize.ContextEntry{Local: local, Before: seedTimes[i]})
-		}
-	}
-	if len(seedLocals) == 0 || inputSeeds == 0 {
+	seedLocals, f0, ok := seedVector(compact, seeds, seedTimes, nInput, e.cfg.Regularize.Lambda)
+	if !ok {
 		return ex, ErrUnknownQuery
-	}
-	f0 := regularize.ContextVector(compact.Size(), seedLocals[0], rctx, e.cfg.Regularize.Lambda)
-	for i := 1; i < inputSeeds; i++ {
-		f0[seedLocals[i]] = 1
 	}
 	reg, err := regularize.FirstCandidate(compact, f0, seedLocals, e.cfg.Regularize)
 	if err != nil {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -40,7 +41,7 @@ func TestIngestAndRefreshGraphs(t *testing.T) {
 		t.Fatal("ingested query missing after Refresh")
 	}
 	// And it is servable.
-	res, err := e.SuggestDiversified("completely fresh phrase", nil, now, 5)
+	res, err := e.Do(context.Background(), SuggestRequest{Query: "completely fresh phrase", At: now, K: 5, SkipPersonalization: true, NoCache: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -24,7 +25,7 @@ func TestLearnUserPersonalizesNewcomer(t *testing.T) {
 	// The newcomer now gets a personalized (non-identity) reranking for
 	// some query, like the source user does.
 	q := pickQuery(t, w)
-	res, err := e.Suggest("brand-new", q, nil, time.Now(), 8)
+	res, err := e.Do(context.Background(), SuggestRequest{User: "brand-new", Query: q, At: time.Now(), K: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

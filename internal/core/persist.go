@@ -74,7 +74,7 @@ func (e *Engine) encodeSnapshot(snap *snapshot.Snapshot) ([]byte, error) {
 }
 
 // Save serializes the engine to w in the snapwire format. A loaded
-// engine serves Suggest/Personalize identically to the original; the
+// engine serves Do/Personalize identically to the original; the
 // raw log is not persisted, so the loaded copy cannot Refresh.
 func (e *Engine) Save(w io.Writer) error {
 	img, err := e.WireImage()
@@ -85,9 +85,8 @@ func (e *Engine) Save(w io.Writer) error {
 	return err
 }
 
-// LoadEngine deserializes an engine previously written by Save.
-// Pre-wire gob files are detected and rejected with a stable error
-// naming `snaptool convert`.
+// LoadEngine deserializes an engine previously written by Save. Any
+// other input is rejected with an error wrapping snapwire.ErrFormat.
 func LoadEngine(r io.Reader) (*Engine, error) {
 	buf, err := io.ReadAll(r)
 	if err != nil {

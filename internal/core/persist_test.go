@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"testing"
 	"time"
 )
@@ -12,7 +13,7 @@ func TestEngineSaveLoadRoundTrip(t *testing.T) {
 	q := pickQuery(t, w)
 	user := w.UserIDs()[0]
 	at := time.Now()
-	orig, err := e.Suggest(user, q, nil, at, 8)
+	orig, err := e.Do(context.Background(), SuggestRequest{User: user, Query: q, At: at, K: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +30,7 @@ func TestEngineSaveLoadRoundTrip(t *testing.T) {
 	if loaded.Profiles() == nil {
 		t.Fatal("profiles lost in round trip")
 	}
-	got, err := loaded.Suggest(user, q, nil, at, 8)
+	got, err := loaded.Do(context.Background(), SuggestRequest{User: user, Query: q, At: at, K: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +68,7 @@ func TestEngineSaveLoadDiversificationOnly(t *testing.T) {
 		t.Fatal("diversification-only engine grew profiles on reload")
 	}
 	q := pickQuery(t, w)
-	if _, err := loaded.SuggestDiversified(q, nil, time.Now(), 5); err != nil {
+	if _, err := loaded.Do(context.Background(), SuggestRequest{Query: q, At: time.Now(), K: 5, SkipPersonalization: true, NoCache: true}); err != nil {
 		t.Fatal(err)
 	}
 }

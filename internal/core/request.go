@@ -14,10 +14,7 @@ import (
 	"repro/internal/suggestcache"
 )
 
-// SuggestRequest is the request object of the suggestion API: one
-// struct instead of the old positional 5-argument family, so new knobs
-// (cache bypass, per-request personalization skip) extend the surface
-// without another signature.
+// SuggestRequest is the request object of the suggestion API.
 type SuggestRequest struct {
 	// User is the user to personalize for; empty serves the
 	// diversified ranking (anonymous traffic).
@@ -60,9 +57,14 @@ type SuggestRequest struct {
 // no fresh cache entry (or when the engine has no cache at all).
 var ErrNotCached = errors.New("core: no cached diversified list for this request")
 
-// Do runs the suggestion pipeline for one request. It is the primary
-// entry point; the positional Suggest/SuggestContext signatures are
-// deprecated wrappers around it.
+// Do runs the suggestion pipeline for one request: diversification
+// (compact representation, Eq. 15 first candidate, cross-bipartite
+// hitting-time selection) followed by personalized re-ranking
+// (preference scores + Borda aggregation) when the engine has profiles
+// and knows the user. ctx is threaded into the Eq. 15 CG solve and the
+// hitting-time greedy loop; on deadline overrun the returned error wraps
+// ctx.Err() and the Result keeps the stage timings completed so far, so
+// callers can report partial progress.
 //
 // When the engine has a cache (EnableCache), the expensive
 // user-INDEPENDENT part — compact build, Eq. 15 CG solve, hitting-time

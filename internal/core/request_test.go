@@ -29,32 +29,17 @@ func frequentQueries(t *testing.T, l *querylog.Log, min int) []string {
 	return out
 }
 
-// Do must produce exactly what the deprecated positional wrappers
-// produce — they are documented as thin shims over it.
-func TestDoMatchesDeprecatedSignatures(t *testing.T) {
+// SkipPersonalization returns the diversified order even with profiles
+// present, at the build generation.
+func TestDoSkipPersonalization(t *testing.T) {
 	w := testWorld(t)
 	e := testEngine(t, w, false)
-	q := pickQuery(t, w)
-	user := w.UserIDs()[0]
-	at := time.Now()
-
-	old, err1 := e.Suggest(user, q, nil, at, 8)
-	res, err2 := e.Do(context.Background(), SuggestRequest{User: user, Query: q, At: at, K: 8})
-	if err1 != nil || err2 != nil {
-		t.Fatal(err1, err2)
-	}
-	if !reflect.DeepEqual(old.Suggestions, res.Suggestions) || !reflect.DeepEqual(old.Diversified, res.Diversified) {
-		t.Fatalf("Do diverged from Suggest:\n%v\n%v", res.Suggestions, old.Suggestions)
-	}
-	if res.Generation != 1 {
-		t.Fatalf("generation = %d at build", res.Generation)
-	}
-
-	// SkipPersonalization returns the diversified order even with
-	// profiles present.
-	skip, err := e.Do(context.Background(), SuggestRequest{User: user, Query: q, At: at, K: 8, SkipPersonalization: true})
+	skip, err := e.Do(context.Background(), SuggestRequest{User: w.UserIDs()[0], Query: pickQuery(t, w), At: time.Now(), K: 8, SkipPersonalization: true})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if skip.Generation != 1 {
+		t.Fatalf("generation = %d at build", skip.Generation)
 	}
 	if !reflect.DeepEqual(skip.Suggestions, skip.Diversified) {
 		t.Fatal("SkipPersonalization re-ranked anyway")
@@ -469,7 +454,7 @@ func TestZipfReplay(t *testing.T) {
 	at := time.Now()
 	var qs []string
 	for _, f := range freq {
-		if _, err := e.SuggestDiversified(f.q, nil, at, 10); err == nil {
+		if _, err := e.Do(context.Background(), SuggestRequest{Query: f.q, At: at, K: 10, SkipPersonalization: true, NoCache: true}); err == nil {
 			qs = append(qs, f.q)
 		}
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"slices"
 	"sort"
@@ -59,7 +60,7 @@ func TestEngineClicklessLog(t *testing.T) {
 		if !ok {
 			t.Fatalf("logged query %q has no node", q)
 		}
-		res, err := e.SuggestDiversified(q, nil, time.Now(), 5)
+		res, err := e.Do(context.Background(), SuggestRequest{Query: q, At: time.Now(), K: 5, SkipPersonalization: true, NoCache: true})
 		if !hasNeighbour(id) {
 			isolated = append(isolated, q)
 			if !errors.Is(err, ErrUnknownQuery) {
@@ -89,7 +90,7 @@ func TestEngineSingleUser(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := pickQuery(t, w)
-	res, err := e.Suggest(w.UserIDs()[0], q, nil, time.Now(), 5)
+	res, err := e.Do(context.Background(), SuggestRequest{User: w.UserIDs()[0], Query: q, At: time.Now(), K: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,8 +123,8 @@ func TestEngineTSVRoundTripFidelity(t *testing.T) {
 	}
 	q := pickQuery(t, w)
 	at := time.Now()
-	r1, err1 := e1.SuggestDiversified(q, nil, at, 8)
-	r2, err2 := e2.SuggestDiversified(q, nil, at, 8)
+	r1, err1 := e1.Do(context.Background(), SuggestRequest{Query: q, At: at, K: 8, SkipPersonalization: true, NoCache: true})
+	r2, err2 := e2.Do(context.Background(), SuggestRequest{Query: q, At: at, K: 8, SkipPersonalization: true, NoCache: true})
 	if err1 != nil || err2 != nil {
 		t.Fatalf("errs: %v %v", err1, err2)
 	}
@@ -144,7 +145,7 @@ func TestSuggestUnknownContext(t *testing.T) {
 	e := testEngine(t, w, true)
 	q := pickQuery(t, w)
 	ctx := []querylog.Entry{{UserID: "u", Query: "zzz not in log", Time: time.Now().Add(-time.Minute)}}
-	res, err := e.SuggestDiversified(q, ctx, time.Now(), 5)
+	res, err := e.Do(context.Background(), SuggestRequest{Query: q, Context: ctx, At: time.Now(), K: 5, SkipPersonalization: true, NoCache: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -88,8 +88,8 @@ type Diversifier interface {
 }
 
 // Config is the strategy configuration embedded in core.Config. It is
-// deliberately scalar-only: core.Config is gob-persisted, so no
-// functions or interfaces may live here.
+// deliberately scalar-only: core.Config is persisted as JSON in the
+// snapshot image, so no functions or interfaces may live here.
 type Config struct {
 	// Strategy is the engine's default selection strategy name; empty
 	// means Default.

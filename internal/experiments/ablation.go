@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"time"
 
 	"repro/internal/bipartite"
@@ -56,7 +57,7 @@ func (s *Setup) AblationViews() (Figure, error) {
 		accR := metrics.NewAccumulator(s.Scale.MaxK)
 		accD := metrics.NewAccumulator(s.Scale.MaxK)
 		for _, q := range queries {
-			res, err := engine.SuggestDiversified(q, nil, now, s.Scale.MaxK)
+			res, err := engine.Do(context.Background(), core.SuggestRequest{Query: q, At: now, K: s.Scale.MaxK, SkipPersonalization: true, NoCache: true})
 			if err != nil || len(res.Diversified) == 0 {
 				continue
 			}
@@ -125,8 +126,8 @@ func (s *Setup) AblationContext() (Figure, error) {
 		}
 		at := sess.Entries[1].Time.Add(30 * time.Second)
 		ctx := []querylog.Entry{sess.Entries[1]}
-		r1, err1 := engine.SuggestDiversified(head, ctx, at, 1)
-		r2, err2 := engine.SuggestDiversified(head, nil, at, 1)
+		r1, err1 := engine.Do(context.Background(), core.SuggestRequest{Query: head, Context: ctx, At: at, K: 1, SkipPersonalization: true, NoCache: true})
+		r2, err2 := engine.Do(context.Background(), core.SuggestRequest{Query: head, At: at, K: 1, SkipPersonalization: true, NoCache: true})
 		if err1 != nil || err2 != nil || len(r1.Diversified) == 0 || len(r2.Diversified) == 0 {
 			continue
 		}
@@ -173,7 +174,7 @@ func (s *Setup) AblationPool() (Figure, error) {
 		accR := metrics.NewAccumulator(s.Scale.MaxK)
 		accD := metrics.NewAccumulator(s.Scale.MaxK)
 		for _, q := range queries {
-			res, err := engine.SuggestDiversified(q, nil, now, s.Scale.MaxK)
+			res, err := engine.Do(context.Background(), core.SuggestRequest{Query: q, At: now, K: s.Scale.MaxK, SkipPersonalization: true, NoCache: true})
 			if err != nil || len(res.Diversified) == 0 {
 				continue
 			}

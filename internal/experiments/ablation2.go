@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"time"
 
 	"repro/internal/bipartite"
@@ -48,7 +49,7 @@ func (s *Setup) AblationSessionizer() (Figure, error) {
 		}
 		acc := metrics.NewAccumulator(s.Scale.MaxK)
 		for _, q := range queries {
-			res, err := engine.SuggestDiversified(q, nil, now, s.Scale.MaxK)
+			res, err := engine.Do(context.Background(), core.SuggestRequest{Query: q, At: now, K: s.Scale.MaxK, SkipPersonalization: true, NoCache: true})
 			if err != nil || len(res.Diversified) == 0 {
 				continue
 			}

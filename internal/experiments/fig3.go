@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"time"
 
 	"repro/internal/baselines"
@@ -46,7 +47,7 @@ func (s *Setup) diversificationMethods(wt bipartite.Weighting) ([]divMethod, err
 	}
 	return []divMethod{
 		{"PQS-DA", func(q string, k int) []string {
-			res, err := engine.SuggestDiversified(q, nil, now, k)
+			res, err := engine.Do(context.Background(), core.SuggestRequest{Query: q, At: now, K: k, SkipPersonalization: true, NoCache: true})
 			if err != nil {
 				return nil
 			}

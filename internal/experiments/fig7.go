@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"time"
 
 	"repro/internal/baselines"
@@ -46,11 +47,13 @@ func (s *Setup) Fig7Efficiency() (Figure, error) {
 		queries := sub.SampleTestQueries(10, 103)
 		now := time.Now()
 		run := map[string]func(string){
-			"PQS-DA": func(q string) { _, _ = engine.SuggestDiversified(q, nil, now, s.Scale.MaxK) },
-			"DQS":    func(q string) { dqs.Suggest(q, s.Scale.MaxK) },
-			"HT":     func(q string) { ht.Suggest(q, s.Scale.MaxK) },
-			"FRW":    func(q string) { frw.Suggest(q, s.Scale.MaxK) },
-			"CM":     func(q string) { cm.SuggestFor("u0000", q, s.Scale.MaxK) },
+			"PQS-DA": func(q string) {
+				_, _ = engine.Do(context.Background(), core.SuggestRequest{Query: q, At: now, K: s.Scale.MaxK, SkipPersonalization: true, NoCache: true})
+			},
+			"DQS": func(q string) { dqs.Suggest(q, s.Scale.MaxK) },
+			"HT":  func(q string) { ht.Suggest(q, s.Scale.MaxK) },
+			"FRW": func(q string) { frw.Suggest(q, s.Scale.MaxK) },
+			"CM":  func(q string) { cm.SuggestFor("u0000", q, s.Scale.MaxK) },
 		}
 		for _, name := range methodNames {
 			start := time.Now()

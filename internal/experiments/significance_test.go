@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -31,7 +32,7 @@ func TestPQSDABeatsDQSRelevanceSignificantly(t *testing.T) {
 
 	var pqsScores, dqsScores []float64
 	for _, q := range s.SampleTestQueries(30, 107) {
-		res, err := engine.SuggestDiversified(q, nil, now, s.Scale.MaxK)
+		res, err := engine.Do(context.Background(), core.SuggestRequest{Query: q, At: now, K: s.Scale.MaxK, SkipPersonalization: true, NoCache: true})
 		if err != nil || len(res.Diversified) == 0 {
 			continue
 		}

@@ -129,22 +129,6 @@ func (h *Histogram) ObserveExemplar(v float64, requestID, traceID string) {
 	h.exemplars[i].Store(&Exemplar{Value: v, TraceID: traceID, RequestID: requestID, Time: now})
 }
 
-// Reset zeroes every bucket and the count/sum/max. It is not atomic
-// with respect to concurrent Observe calls — an observation racing the
-// reset may land in a partially cleared state — which is acceptable for
-// its purpose: re-baselining a long-running process's aggregates.
-func (h *Histogram) Reset() {
-	for i := range h.buckets {
-		h.buckets[i].Store(0)
-	}
-	h.count.Store(0)
-	h.sumBits.Store(0)
-	h.maxBits.Store(0)
-	for i := range h.exemplars {
-		h.exemplars[i].Store(nil)
-	}
-}
-
 // Snapshot is a point-in-time copy of a histogram's state.
 type Snapshot struct {
 	// Bounds are the bucket upper bounds (shared, read-only).
@@ -157,7 +141,7 @@ type Snapshot struct {
 	Max    float64
 	// Exemplars are the per-bucket pinned observations, aligned with
 	// Counts; nil when exemplar retention is disabled. Entries may be
-	// nil (bucket never occupied since the last reset).
+	// nil (bucket never occupied).
 	Exemplars []*Exemplar
 }
 

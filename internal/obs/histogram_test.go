@@ -102,22 +102,6 @@ func TestHistogramQuantileEdgeCases(t *testing.T) {
 	}
 }
 
-func TestHistogramReset(t *testing.T) {
-	h := NewHistogram([]float64{1})
-	h.Observe(0.5)
-	h.Observe(5)
-	h.Reset()
-	s := h.Snapshot()
-	if s.Count != 0 || s.Sum != 0 || s.Max != 0 {
-		t.Fatalf("after reset: count=%d sum=%g max=%g, want zeros", s.Count, s.Sum, s.Max)
-	}
-	for i, c := range s.Counts {
-		if c != 0 {
-			t.Fatalf("bucket %d = %d after reset", i, c)
-		}
-	}
-}
-
 // TestHistogramConcurrent hammers Observe from many goroutines; run
 // under -race it proves the lock-free claim, and the final snapshot
 // must account for every observation exactly.

@@ -151,18 +151,9 @@ func TestExemplarDisabledAndEmptyTrace(t *testing.T) {
 	}
 }
 
-func TestExemplarReset(t *testing.T) {
-	h := NewHistogram([]float64{1}).EnableExemplars(-1)
-	h.ObserveExemplar(0.5, "req1", "trc1")
-	h.Reset()
-	if ex := h.Snapshot().Exemplars[0]; ex != nil {
-		t.Fatalf("Reset left an exemplar behind: %+v", ex)
-	}
-}
-
 // TestExemplarScrapeHammer is the -race hammer: concurrent exemplar
-// observations, OpenMetrics scrapes and resets must stay linter-clean
-// and race-free.
+// observations and OpenMetrics scrapes must stay linter-clean and
+// race-free.
 func TestExemplarScrapeHammer(t *testing.T) {
 	r := NewRegistry()
 	h := r.NewHistogram("hammer_seconds", "Hammered histogram.", []float64{0.01, 0.1, 1}, nil).
@@ -195,9 +186,6 @@ func TestExemplarScrapeHammer(t *testing.T) {
 			if !strings.Contains(err.Error(), "_count") {
 				t.Fatalf("scrape %d: %v\n%s", i, err, b.String())
 			}
-		}
-		if i%10 == 0 {
-			h.Reset()
 		}
 	}
 	close(stop)

@@ -43,7 +43,7 @@ func (s *Server) SetAdmission(cfg admission.Config) {
 // installed.
 func (s *Server) Admission() *admission.Controller { return s.admission.Load() }
 
-// SetMaxBodyBytes caps every /v1 and /api POST body; overflow is a 413
+// SetMaxBodyBytes caps every /v1 POST body; overflow is a 413
 // payload_too_large envelope. Zero disables the cap (not recommended).
 // Safe to call while serving.
 func (s *Server) SetMaxBodyBytes(n int64) { s.maxBodyBytes.Store(n) }
@@ -60,7 +60,7 @@ func guardedPath(path string) bool {
 	if path == "/v1/health" {
 		return false
 	}
-	return strings.HasPrefix(path, "/v1/") || strings.HasPrefix(path, "/api/")
+	return strings.HasPrefix(path, "/v1/")
 }
 
 // clientIP strips the port from a RemoteAddr ("1.2.3.4:56" → "1.2.3.4",

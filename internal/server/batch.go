@@ -214,7 +214,7 @@ func (s *Server) serveBatchGrouped(rctx context.Context, reqs []SuggestRequest) 
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			resp, aerr := s.suggestOnce(rctx, reqs[i])
+			resp, aerr := s.suggestRun(rctx, reqs[i], nil)
 			if aerr != nil {
 				results[i] = BatchItemResult{Status: statusOf(aerr.Code), Error: aerr}
 				return
@@ -245,7 +245,7 @@ func (s *Server) serveBatchPerItem(ctx context.Context, reqs []SuggestRequest) [
 				}
 				defer ctrl.Suggest.Release()
 			}
-			resp, aerr := s.suggestOnce(ctx, reqs[i])
+			resp, aerr := s.suggestRun(ctx, reqs[i], nil)
 			if aerr != nil {
 				results[i] = BatchItemResult{Status: statusOf(aerr.Code), Error: aerr}
 				return

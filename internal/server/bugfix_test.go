@@ -6,11 +6,11 @@ import (
 	"testing"
 )
 
-// POST /api/refresh with an empty body must behave as the documented
+// POST /v1/refresh with an empty body must behave as the documented
 // default (mode "graphs"), not 400 on json.Decode's EOF.
 func TestRefreshEmptyBodyDefaultsToGraphs(t *testing.T) {
 	_, ts, _, _ := testServer(t)
-	resp, err := http.Post(ts.URL+"/api/refresh", "application/json", nil)
+	resp, err := http.Post(ts.URL+"/v1/refresh", "application/json", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,9 +27,9 @@ func TestRefreshRejectedModeDoesNotConsumeEntries(t *testing.T) {
 	srv, ts, _, _ := testServer(t) // diversification-only fixture
 	before := srv.Engine()
 	for i := 0; i < 3; i++ {
-		postJSON(t, ts.URL+"/api/log", LogRequest{User: "u", Query: "pending entry probe"}, nil)
+		postJSON(t, ts.URL+"/v1/log", LogRequest{User: "u", Query: "pending entry probe"}, nil)
 	}
-	if code := postJSON(t, ts.URL+"/api/refresh", RefreshRequest{Mode: "foldin"}, nil); code != 409 {
+	if code := postJSON(t, ts.URL+"/v1/refresh", RefreshRequest{Mode: "foldin"}, nil); code != 409 {
 		t.Fatalf("foldin without profiles: status %d, want 409", code)
 	}
 	if srv.Engine() != before {
@@ -40,7 +40,7 @@ func TestRefreshRejectedModeDoesNotConsumeEntries(t *testing.T) {
 	}
 	// The entries are still pending for a valid refresh.
 	var out map[string]any
-	if code := postJSON(t, ts.URL+"/api/refresh", RefreshRequest{Mode: "graphs"}, &out); code != 200 {
+	if code := postJSON(t, ts.URL+"/v1/refresh", RefreshRequest{Mode: "graphs"}, &out); code != 200 {
 		t.Fatalf("graphs refresh after rejected foldin: status %d", code)
 	}
 	if out["ingested"].(float64) != 3 {
@@ -48,13 +48,13 @@ func TestRefreshRejectedModeDoesNotConsumeEntries(t *testing.T) {
 	}
 }
 
-// GET /api/suggest must reject malformed and non-positive k instead of
+// GET /v1/suggest must reject malformed and non-positive k instead of
 // Sscanf-accepting trailing garbage ("5x" → 5).
 func TestSuggestGetRejectsBadK(t *testing.T) {
 	_, ts, w, _ := testServer(t)
 	q := pickKnownQuery(t, w)
 	for _, k := range []string{"5x", "-3", "0", "2.5", "1e3", ""} {
-		u := ts.URL + "/api/suggest?user=u&q=" + q + "&k=" + k
+		u := ts.URL + "/v1/suggest?user=u&q=" + q + "&k=" + k
 		want := 400
 		if k == "" { // absent k falls back to the default of 10
 			want = 200
@@ -70,10 +70,10 @@ func TestSuggestGetRejectsBadK(t *testing.T) {
 func TestSinkEscapesControlCharacters(t *testing.T) {
 	_, ts, _, sink := testServer(t)
 	evil := "tab\there\nand a newline"
-	if code := postJSON(t, ts.URL+"/api/log", LogRequest{User: "u\t1", Query: evil}, nil); code != 200 {
+	if code := postJSON(t, ts.URL+"/v1/log", LogRequest{User: "u\t1", Query: evil}, nil); code != 200 {
 		t.Fatalf("log: status %d", code)
 	}
-	if code := postJSON(t, ts.URL+"/api/feedback", Feedback{
+	if code := postJSON(t, ts.URL+"/v1/feedback", Feedback{
 		User: "u1", Query: evil, Suggestion: "sugg\nwith newline", Rating: 0.8,
 	}, nil); code != 200 {
 		t.Fatalf("feedback: status %d", code)

@@ -609,7 +609,7 @@ func BenchmarkShedPath(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		srv.handleSuggestGet(w, r)
+		srv.handleSuggest(w, r)
 	}
 	if srv.stats.shedOverloaded.Load() != int64(b.N) {
 		b.Fatalf("shed %d of %d", srv.stats.shedOverloaded.Load(), b.N)

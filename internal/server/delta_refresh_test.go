@@ -28,12 +28,12 @@ func TestRefreshBuildOverrideDelta(t *testing.T) {
 	_, ts, w, _ := testServer(t)
 	q := pickKnownQuery(t, w)
 	for i := 0; i < 3; i++ {
-		postJSON(t, ts.URL+"/api/log", LogRequest{User: "deltauser", Query: "incremental topic phrase"}, nil)
+		postJSON(t, ts.URL+"/v1/log", LogRequest{User: "deltauser", Query: "incremental topic phrase"}, nil)
 	}
-	postJSON(t, ts.URL+"/api/log", LogRequest{User: "deltauser", Query: q}, nil)
+	postJSON(t, ts.URL+"/v1/log", LogRequest{User: "deltauser", Query: q}, nil)
 
 	var out map[string]any
-	if code := postJSON(t, ts.URL+"/api/refresh", RefreshRequest{Mode: "graphs", Build: "delta"}, &out); code != 200 {
+	if code := postJSON(t, ts.URL+"/v1/refresh", RefreshRequest{Mode: "graphs", Build: "delta"}, &out); code != 200 {
 		t.Fatalf("delta refresh: status %d (%v)", code, out)
 	}
 	if out["build"] != "delta" {
@@ -43,14 +43,14 @@ func TestRefreshBuildOverrideDelta(t *testing.T) {
 		t.Errorf("deltaEntries = %v, want 4", out["deltaEntries"])
 	}
 	var sugg SuggestResponse
-	if code := getJSON(t, ts.URL+"/api/suggest?user=deltauser&q=incremental+topic+phrase&k=5", &sugg); code != 200 {
+	if code := getJSON(t, ts.URL+"/v1/suggest?user=deltauser&q=incremental+topic+phrase&k=5", &sugg); code != 200 {
 		t.Fatalf("suggest after delta refresh: status %d", code)
 	}
 
 	// An explicit full build is also honored and reported.
-	postJSON(t, ts.URL+"/api/log", LogRequest{User: "deltauser", Query: q}, nil)
+	postJSON(t, ts.URL+"/v1/log", LogRequest{User: "deltauser", Query: q}, nil)
 	var out2 map[string]any
-	if code := postJSON(t, ts.URL+"/api/refresh", RefreshRequest{Mode: "graphs", Build: "full"}, &out2); code != 200 {
+	if code := postJSON(t, ts.URL+"/v1/refresh", RefreshRequest{Mode: "graphs", Build: "full"}, &out2); code != 200 {
 		t.Fatalf("full refresh: status %d (%v)", code, out2)
 	}
 	if out2["build"] != "full" {
@@ -65,14 +65,14 @@ func TestRefreshBuildOverrideDelta(t *testing.T) {
 // and must not consume the recorded entries.
 func TestRefreshBuildOverrideInvalid(t *testing.T) {
 	srv, ts, _, _ := testServer(t)
-	postJSON(t, ts.URL+"/api/log", LogRequest{User: "u", Query: "pending entry"}, nil)
+	postJSON(t, ts.URL+"/v1/log", LogRequest{User: "u", Query: "pending entry"}, nil)
 	var out map[string]any
-	if code := postJSON(t, ts.URL+"/api/refresh", RefreshRequest{Mode: "graphs", Build: "partial"}, &out); code != 400 {
+	if code := postJSON(t, ts.URL+"/v1/refresh", RefreshRequest{Mode: "graphs", Build: "partial"}, &out); code != 400 {
 		t.Fatalf("bad build: status %d", code)
 	}
 	// The entry is still pending: a valid refresh ingests it.
 	var out2 map[string]any
-	if code := postJSON(t, ts.URL+"/api/refresh", RefreshRequest{Mode: "graphs", Build: "delta"}, &out2); code != 200 {
+	if code := postJSON(t, ts.URL+"/v1/refresh", RefreshRequest{Mode: "graphs", Build: "delta"}, &out2); code != 200 {
 		t.Fatalf("refresh after bad build: status %d", code)
 	}
 	if out2["ingested"].(float64) != 1 {
@@ -87,8 +87,8 @@ func TestRefreshBuildOverrideInvalid(t *testing.T) {
 func TestStatsReportLastBuild(t *testing.T) {
 	_, ts, w, _ := testServer(t)
 	q := pickKnownQuery(t, w)
-	postJSON(t, ts.URL+"/api/log", LogRequest{User: "s", Query: q}, nil)
-	postJSON(t, ts.URL+"/api/refresh", RefreshRequest{Mode: "graphs", Build: "delta"}, nil)
+	postJSON(t, ts.URL+"/v1/log", LogRequest{User: "s", Query: q}, nil)
+	postJSON(t, ts.URL+"/v1/refresh", RefreshRequest{Mode: "graphs", Build: "delta"}, nil)
 
 	var stats map[string]any
 	if code := getJSON(t, ts.URL+"/v1/stats", &stats); code != 200 {

@@ -43,7 +43,7 @@ func heavyServer(t *testing.T) (*Server, *httptest.Server, *synth.World) {
 }
 
 // TestSuggestNotBlockedByRetrain is the tentpole's acceptance test: with
-// a retrain-mode /api/refresh in flight, concurrent /api/suggest
+// a retrain-mode /v1/refresh in flight, concurrent /v1/suggest
 // requests must keep completing on the old engine instead of queueing
 // behind the rebuild. Run with -race: it also exercises the
 // clone→mutate→swap path against lock-free engine loads.
@@ -54,7 +54,7 @@ func TestSuggestNotBlockedByRetrain(t *testing.T) {
 
 	// Seed fresh traffic so the refresh has something to ingest.
 	for i := 0; i < 5; i++ {
-		postJSON(t, ts.URL+"/api/log", LogRequest{User: "fresh", Query: "hot swap probe"}, nil)
+		postJSON(t, ts.URL+"/v1/log", LogRequest{User: "fresh", Query: "hot swap probe"}, nil)
 	}
 
 	// Kick off the retrain and record its window.
@@ -67,7 +67,7 @@ func TestSuggestNotBlockedByRetrain(t *testing.T) {
 	go func() {
 		var out map[string]any
 		wdw := window{start: time.Now()}
-		resp, err := http.Post(ts.URL+"/api/refresh", "application/json",
+		resp, err := http.Post(ts.URL+"/v1/refresh", "application/json",
 			jsonBody(RefreshRequest{Mode: "retrain"}))
 		if err == nil {
 			json.NewDecoder(resp.Body).Decode(&out)
@@ -97,7 +97,7 @@ func TestSuggestNotBlockedByRetrain(t *testing.T) {
 				default:
 				}
 				s0 := time.Now()
-				resp, err := client.Get(fmt.Sprintf("%s/api/suggest?user=%s&q=%s&k=5", ts.URL, users[(g+i)%len(users)], q))
+				resp, err := client.Get(fmt.Sprintf("%s/v1/suggest?user=%s&q=%s&k=5", ts.URL, users[(g+i)%len(users)], q))
 				if err != nil {
 					t.Errorf("suggest during refresh: %v", err)
 					return
@@ -152,18 +152,18 @@ func TestSuggestNotBlockedByRetrain(t *testing.T) {
 
 // TestRefreshSwapsEngineAndRecordsStats checks the swap is visible:
 // traffic recorded pre-refresh becomes servable, the serving engine
-// pointer changes, and /api/stats reports the refresh.
+// pointer changes, and /v1/stats reports the refresh.
 func TestRefreshSwapsEngineAndRecordsStats(t *testing.T) {
 	srv, ts, w, _ := testServer(t)
 	q := url.QueryEscape(pickKnownQuery(t, w))
-	if code := getJSON(t, ts.URL+"/api/suggest?user=u1&q="+q+"&k=5", nil); code != 200 {
+	if code := getJSON(t, ts.URL+"/v1/suggest?user=u1&q="+q+"&k=5", nil); code != 200 {
 		t.Fatalf("suggest: status %d", code)
 	}
 	before := srv.Engine()
 	for i := 0; i < 4; i++ {
-		postJSON(t, ts.URL+"/api/log", LogRequest{User: "fresh", Query: "swap visibility probe"}, nil)
+		postJSON(t, ts.URL+"/v1/log", LogRequest{User: "fresh", Query: "swap visibility probe"}, nil)
 	}
-	if code := postJSON(t, ts.URL+"/api/refresh", RefreshRequest{}, nil); code != 200 {
+	if code := postJSON(t, ts.URL+"/v1/refresh", RefreshRequest{}, nil); code != 200 {
 		t.Fatalf("refresh: status %d", code)
 	}
 	if srv.Engine() == before {
@@ -176,7 +176,7 @@ func TestRefreshSwapsEngineAndRecordsStats(t *testing.T) {
 		t.Fatal("swapped engine does not serve the ingested query")
 	}
 	var stats map[string]any
-	if code := getJSON(t, ts.URL+"/api/stats", &stats); code != 200 {
+	if code := getJSON(t, ts.URL+"/v1/stats", &stats); code != 200 {
 		t.Fatalf("stats: status %d", code)
 	}
 	refresh := stats["refresh"].(map[string]any)
@@ -196,7 +196,7 @@ func TestSuggestDeadline504(t *testing.T) {
 	srv, ts, w, _ := testServer(t)
 	srv.SetRequestTimeout(time.Nanosecond)
 	q := url.QueryEscape(pickKnownQuery(t, w))
-	resp, err := http.Get(ts.URL + "/api/suggest?user=u1&q=" + q + "&k=5")
+	resp, err := http.Get(ts.URL + "/v1/suggest?user=u1&q=" + q + "&k=5")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,27 +224,27 @@ func TestSuggestDeadline504(t *testing.T) {
 	// Restore a generous deadline: the same request now succeeds.
 	srv.SetRequestTimeout(time.Minute)
 	var ok SuggestResponse
-	if code := getJSON(t, ts.URL+"/api/suggest?user=u1&q="+q+"&k=5", &ok); code != 200 {
+	if code := getJSON(t, ts.URL+"/v1/suggest?user=u1&q="+q+"&k=5", &ok); code != 200 {
 		t.Fatalf("suggest with sane deadline: status %d", code)
 	}
 
 	var stats map[string]any
-	getJSON(t, ts.URL+"/api/stats", &stats)
+	getJSON(t, ts.URL+"/v1/stats", &stats)
 	if n := stats["suggest"].(map[string]any)["timeouts"].(float64); n != 1 {
 		t.Errorf("timeout counter = %v, want 1", n)
 	}
 }
 
-// TestLearnHotSwap checks /api/learn follows the same clone→swap
+// TestLearnHotSwap checks /v1/learn follows the same clone→swap
 // discipline: the pre-learn engine is never mutated.
 func TestLearnHotSwap(t *testing.T) {
 	srv, ts, w := personalizedServer(t)
 	q := pickKnownQuery(t, w)
 	before := srv.Engine()
 	for i := 0; i < 4; i++ {
-		postJSON(t, ts.URL+"/api/log", LogRequest{User: "visitor", Query: q}, nil)
+		postJSON(t, ts.URL+"/v1/log", LogRequest{User: "visitor", Query: q}, nil)
 	}
-	if code := postJSON(t, ts.URL+"/api/learn", LearnRequest{User: "visitor"}, nil); code != 200 {
+	if code := postJSON(t, ts.URL+"/v1/learn", LearnRequest{User: "visitor"}, nil); code != 200 {
 		t.Fatalf("learn: status %d", code)
 	}
 	if before.Profiles().Theta("visitor") != nil {
@@ -252,25 +252,5 @@ func TestLearnHotSwap(t *testing.T) {
 	}
 	if srv.Engine().Profiles().Theta("visitor") == nil {
 		t.Fatal("swapped engine has no profile for the learned user")
-	}
-}
-
-// TestDebugVars checks the expvar surface is mounted.
-func TestDebugVars(t *testing.T) {
-	_, ts, _, _ := testServer(t)
-	resp, err := http.Get(ts.URL + "/debug/vars")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != 200 {
-		t.Fatalf("/debug/vars: status %d", resp.StatusCode)
-	}
-	var vars map[string]any
-	if err := json.NewDecoder(resp.Body).Decode(&vars); err != nil {
-		t.Fatalf("/debug/vars is not JSON: %v", err)
-	}
-	if _, ok := vars["pqsda"]; !ok {
-		t.Error("/debug/vars does not export the pqsda stats variable")
 	}
 }

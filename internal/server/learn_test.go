@@ -32,24 +32,24 @@ func TestLearnEndpoint(t *testing.T) {
 	q := pickKnownQuery(t, w)
 
 	// No history yet → 404.
-	if code := postJSON(t, ts.URL+"/api/learn", LearnRequest{User: "visitor"}, nil); code != 404 {
+	if code := postJSON(t, ts.URL+"/v1/learn", LearnRequest{User: "visitor"}, nil); code != 404 {
 		t.Fatalf("learn without history: status %d, want 404", code)
 	}
 	// Record a few searches through the log endpoint.
 	for i := 0; i < 4; i++ {
-		if code := postJSON(t, ts.URL+"/api/log", LogRequest{User: "visitor", Query: q}, nil); code != 200 {
+		if code := postJSON(t, ts.URL+"/v1/log", LogRequest{User: "visitor", Query: q}, nil); code != 200 {
 			t.Fatalf("log: status %d", code)
 		}
 	}
 	var out map[string]any
-	if code := postJSON(t, ts.URL+"/api/learn", LearnRequest{User: "visitor"}, &out); code != 200 {
+	if code := postJSON(t, ts.URL+"/v1/learn", LearnRequest{User: "visitor"}, &out); code != 200 {
 		t.Fatalf("learn: status %d (%v)", code, out)
 	}
 	if srv.Engine().Profiles().Theta("visitor") == nil {
-		t.Fatal("visitor has no profile after /api/learn")
+		t.Fatal("visitor has no profile after /v1/learn")
 	}
 	// Missing user → 400.
-	if code := postJSON(t, ts.URL+"/api/learn", LearnRequest{}, nil); code != 400 {
+	if code := postJSON(t, ts.URL+"/v1/learn", LearnRequest{}, nil); code != 400 {
 		t.Errorf("empty user: status %d", code)
 	}
 }
@@ -57,8 +57,8 @@ func TestLearnEndpoint(t *testing.T) {
 func TestLearnEndpointWithoutProfiles(t *testing.T) {
 	_, ts, w, _ := testServer(t) // diversification-only engine
 	q := pickKnownQuery(t, w)
-	postJSON(t, ts.URL+"/api/log", LogRequest{User: "u", Query: q}, nil)
-	if code := postJSON(t, ts.URL+"/api/learn", LearnRequest{User: "u"}, nil); code != 409 {
+	postJSON(t, ts.URL+"/v1/log", LogRequest{User: "u", Query: q}, nil)
+	if code := postJSON(t, ts.URL+"/v1/learn", LearnRequest{User: "u"}, nil); code != 409 {
 		t.Errorf("learn on profile-less engine: status %d, want 409", code)
 	}
 }

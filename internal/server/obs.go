@@ -17,9 +17,8 @@ import (
 
 // This file is the server half of the observability layer: the request
 // middleware (request IDs, structured logs, metric-sink injection, the
-// HTTP latency histogram), the /metrics, /debug/traces and
-// /debug/stats/reset endpoints, optional net/http/pprof mounting, and
-// the slow-query log.
+// HTTP latency histogram), the /metrics and /debug/traces endpoints,
+// optional net/http/pprof mounting, and the slow-query log.
 
 // defaultTraceRingSize is how many completed suggestion traces
 // /debug/traces retains.
@@ -198,26 +197,14 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"traces": s.traces.Snapshots()})
 }
 
-// handleStatsReset re-baselines the latency/depth histograms (counts,
-// sums, and the previously forever-growing max) so a long-running
-// process can measure "since the last deploy/incident" instead of
-// "since boot". Counters keep counting.
-func (s *Server) handleStatsReset(w http.ResponseWriter, r *http.Request) {
-	s.tel.reset()
-	s.Logger().LogAttrs(r.Context(), slog.LevelInfo, "stats reset",
-		slog.String("requestId", obs.RequestIDFrom(r.Context())))
-	writeJSON(w, http.StatusOK, map[string]string{"status": "reset"})
-}
-
 // mountDebug wires the observability routes onto the mux: Prometheus
-// exposition, the trace ring, histogram reset, expvar, and (opt-in)
-// pprof.
+// exposition, the trace ring, exemplar lookup, the flight recorder, and
+// (opt-in) pprof.
 func (s *Server) mountDebug(mux *http.ServeMux) {
 	mux.Handle("GET /metrics", s.tel.registry.Handler())
 	mux.HandleFunc("GET /debug/traces", s.handleTraces)
 	mux.HandleFunc("GET /debug/exemplars", s.handleExemplars)
 	mux.HandleFunc("GET /debug/flightrecorder", s.handleFlightRecorder)
-	mux.HandleFunc("POST /debug/stats/reset", s.handleStatsReset)
 	if s.pprofEnabled {
 		mux.HandleFunc("GET /debug/pprof/", netpprof.Index)
 		mux.HandleFunc("GET /debug/pprof/cmdline", netpprof.Cmdline)

@@ -1,14 +1,17 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
-	"expvar"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/bipartite"
 	"repro/internal/core"
@@ -230,7 +233,7 @@ func TestDebugTracesRing(t *testing.T) {
 	}
 }
 
-func TestStatsPercentilesAndReset(t *testing.T) {
+func TestStatsPercentiles(t *testing.T) {
 	_, ts, w, _ := testServer(t)
 	q := pickKnownQuery(t, w)
 	for i := 0; i < 4; i++ {
@@ -263,33 +266,18 @@ func TestStatsPercentilesAndReset(t *testing.T) {
 	if _, ok := stats["http"].(map[string]any); !ok {
 		t.Error("stats missing http section")
 	}
-
-	// Reset re-baselines histograms but keeps the counters counting.
-	resp, err := http.Post(ts.URL+"/debug/stats/reset", "application/json", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != 200 {
-		t.Fatalf("reset: status %d", resp.StatusCode)
-	}
-	getJSON(t, ts.URL+"/v1/stats", &stats)
-	total = stats["stages"].(map[string]any)["total"].(map[string]any)
-	if total["count"].(float64) != 0 || total["maxMs"].(float64) != 0 {
-		t.Errorf("after reset: total = %v, want zeroed histogram", total)
-	}
-	if got := stats["suggest"].(map[string]any)["requests"].(float64); got != 4 {
-		t.Errorf("after reset: suggest.requests = %v, want 4 (counters survive)", got)
-	}
 }
 
-// TestExpvarUniqueNames pins the satellite fix: every Server in the
-// process publishes to /debug/vars — the first under the historical
-// name, later ones under numbered names instead of being silently
-// dropped.
-func TestExpvarUniqueNames(t *testing.T) {
-	w := synth.Generate(synth.Config{Seed: 83, NumFacets: 3, NumUsers: 6, SessionsPerUser: 10})
-	mk := func() *Server {
+// TestServerIsCollectable guards against process-global registrations:
+// once a served, SLO-enabled server is closed and dropped, nothing may
+// keep it — and with it the histograms, flight recorder, recorded log
+// and engine — reachable. The sink is the probe: only the Server points
+// at it, and unlike the Server (which its own metric closures point back
+// at) it sits on no cycle, so its finalizer runs iff the Server is gone.
+func TestServerIsCollectable(t *testing.T) {
+	collected := make(chan struct{})
+	func() {
+		w := synth.Generate(synth.Config{Seed: 83, NumFacets: 3, NumUsers: 6, SessionsPerUser: 10})
 		engine, err := core.NewEngine(w.Log, core.Config{
 			Compact:             bipartite.CompactConfig{Budget: 30},
 			SkipPersonalization: true,
@@ -297,25 +285,28 @@ func TestExpvarUniqueNames(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return New(engine, nil)
-	}
-	a, b := mk(), mk()
-	na, nb := a.ExpvarName(), b.ExpvarName()
-	if na == nb {
-		t.Fatalf("two servers share expvar name %q", na)
-	}
-	for _, name := range []string{na, nb} {
-		if !strings.HasPrefix(name, "pqsda") {
-			t.Errorf("expvar name %q does not start with pqsda", name)
+		sink := &bytes.Buffer{}
+		runtime.SetFinalizer(sink, func(*bytes.Buffer) { close(collected) })
+		srv := New(engine, sink)
+		srv.EnableSLO(DefaultSLOConfig())
+		rec := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/v1/suggest?q="+url.QueryEscape(pickKnownQuery(t, w)), nil))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("suggest: status %d", rec.Code)
 		}
-		if expvar.Get(name) == nil {
-			t.Errorf("expvar %q not published", name)
+		srv.Close()
+	}()
+	// Close stops the evaluation loop asynchronously, so allow a few
+	// cycles for its goroutine to exit and the finalizer to run.
+	for i := 0; i < 50; i++ {
+		runtime.GC()
+		select {
+		case <-collected:
+			return
+		case <-time.After(20 * time.Millisecond):
 		}
 	}
-	// Idempotent: Handler()/ExpvarName() never re-publish.
-	if again := a.ExpvarName(); again != na {
-		t.Errorf("ExpvarName changed across calls: %q → %q", na, again)
-	}
+	t.Fatal("closed server still reachable after 50 GC cycles")
 }
 
 func TestPProfMounting(t *testing.T) {

@@ -9,11 +9,11 @@ func TestRefreshEndpointGraphs(t *testing.T) {
 	q := pickKnownQuery(t, w)
 	// Feed the server some brand-new traffic.
 	for i := 0; i < 3; i++ {
-		postJSON(t, ts.URL+"/api/log", LogRequest{User: "fresh", Query: "brand new topic phrase"}, nil)
+		postJSON(t, ts.URL+"/v1/log", LogRequest{User: "fresh", Query: "brand new topic phrase"}, nil)
 	}
-	postJSON(t, ts.URL+"/api/log", LogRequest{User: "fresh", Query: q}, nil)
+	postJSON(t, ts.URL+"/v1/log", LogRequest{User: "fresh", Query: q}, nil)
 	var out map[string]any
-	if code := postJSON(t, ts.URL+"/api/refresh", RefreshRequest{Mode: "graphs"}, &out); code != 200 {
+	if code := postJSON(t, ts.URL+"/v1/refresh", RefreshRequest{Mode: "graphs"}, &out); code != 200 {
 		t.Fatalf("refresh: status %d (%v)", code, out)
 	}
 	if out["ingested"].(float64) != 4 {
@@ -21,13 +21,13 @@ func TestRefreshEndpointGraphs(t *testing.T) {
 	}
 	// The new query is now servable.
 	var sugg SuggestResponse
-	if code := getJSON(t, ts.URL+"/api/suggest?user=fresh&q=brand+new+topic+phrase&k=5", &sugg); code != 200 {
+	if code := getJSON(t, ts.URL+"/v1/suggest?user=fresh&q=brand+new+topic+phrase&k=5", &sugg); code != 200 {
 		t.Fatalf("suggest after refresh: status %d", code)
 	}
 	// Second refresh has nothing new (the suggest above recorded one
 	// more entry).
 	var out2 map[string]any
-	postJSON(t, ts.URL+"/api/refresh", RefreshRequest{Mode: "graphs"}, &out2)
+	postJSON(t, ts.URL+"/v1/refresh", RefreshRequest{Mode: "graphs"}, &out2)
 	if out2["ingested"].(float64) != 1 {
 		t.Errorf("second refresh ingested = %v, want 1", out2["ingested"])
 	}
@@ -35,14 +35,14 @@ func TestRefreshEndpointGraphs(t *testing.T) {
 
 func TestRefreshEndpointBadMode(t *testing.T) {
 	_, ts, _, _ := testServer(t)
-	if code := postJSON(t, ts.URL+"/api/refresh", RefreshRequest{Mode: "everything"}, nil); code != 400 {
+	if code := postJSON(t, ts.URL+"/v1/refresh", RefreshRequest{Mode: "everything"}, nil); code != 400 {
 		t.Errorf("bad mode: status %d", code)
 	}
 }
 
 func TestRefreshEndpointFoldInWithoutProfiles(t *testing.T) {
 	_, ts, _, _ := testServer(t) // diversification-only fixture
-	if code := postJSON(t, ts.URL+"/api/refresh", RefreshRequest{Mode: "foldin"}, nil); code != 409 {
+	if code := postJSON(t, ts.URL+"/v1/refresh", RefreshRequest{Mode: "foldin"}, nil); code != 409 {
 		t.Errorf("foldin without profiles: status %d, want 409", code)
 	}
 }
@@ -51,10 +51,10 @@ func TestRefreshEndpointFoldIn(t *testing.T) {
 	_, ts, w := personalizedServer(t)
 	q := pickKnownQuery(t, w)
 	for i := 0; i < 4; i++ {
-		postJSON(t, ts.URL+"/api/log", LogRequest{User: "newbie", Query: q}, nil)
+		postJSON(t, ts.URL+"/v1/log", LogRequest{User: "newbie", Query: q}, nil)
 	}
 	var out map[string]any
-	if code := postJSON(t, ts.URL+"/api/refresh", RefreshRequest{Mode: "foldin"}, &out); code != 200 {
+	if code := postJSON(t, ts.URL+"/v1/refresh", RefreshRequest{Mode: "foldin"}, &out); code != 200 {
 		t.Fatalf("foldin refresh: status %d (%v)", code, out)
 	}
 }

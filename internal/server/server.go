@@ -14,25 +14,17 @@
 // generation, which invalidates the previous snapshot's cache entries
 // by construction.
 //
-// # API versions
-//
-// The canonical surface is versioned under /v1 (/v1/suggest,
-// /v1/suggest/batch, /v1/feedback, /v1/log, /v1/learn, /v1/refresh,
-// /v1/stats). Every error is the uniform envelope
+// The API is versioned under /v1 (/v1/suggest, /v1/suggest/batch,
+// /v1/feedback, /v1/log, /v1/learn, /v1/refresh, /v1/stats). Every
+// error is the uniform envelope
 //
 //	{"error": {"code": "...", "message": "...", "details": {...}}}
-//
-// The pre-versioning /api/* paths remain mounted as aliases of the same
-// handlers; they answer identically but emit a "Deprecation: true"
-// header and a Link to their successor. /v1/suggest/batch has no legacy
-// alias (it postdates the /api surface).
 package server
 
 import (
 	"context"
 	"encoding/json"
 	"errors"
-	"expvar"
 	"fmt"
 	"io"
 	"log/slog"
@@ -73,7 +65,7 @@ type Server struct {
 	// admitted. Installed via SetAdmission, read lock-free on the
 	// serving path.
 	admission atomic.Pointer[admission.Controller]
-	// maxBodyBytes caps /v1 and /api POST bodies via http.MaxBytesReader
+	// maxBodyBytes caps /v1 POST bodies via http.MaxBytesReader
 	// (0 = uncapped). Defaults to DefaultMaxBodyBytes.
 	maxBodyBytes atomic.Int64
 	// brownout designates the cheap diversification strategy that answers
@@ -103,9 +95,6 @@ type Server struct {
 	start time.Time
 	// pprofEnabled mounts net/http/pprof in Handler when set.
 	pprofEnabled bool
-
-	expvarOnce sync.Once
-	expvarName string
 
 	mu sync.Mutex
 	// lastIngested is how many recorded entries have been handed to the
@@ -160,64 +149,33 @@ func (s *Server) SetRequestTimeout(d time.Duration) { s.timeoutNs.Store(int64(d)
 // RequestTimeout returns the configured per-request deadline.
 func (s *Server) RequestTimeout() time.Duration { return time.Duration(s.timeoutNs.Load()) }
 
-// Handler returns the HTTP handler with all routes mounted: the
-// canonical /v1 surface, the deprecated /api aliases, health, and the
-// observability endpoints (/metrics, /debug/traces, /debug/stats/reset,
-// expvar, and /debug/pprof when EnablePProf was called). The whole mux
-// is wrapped in the request-ID/logging middleware.
+// Handler returns the HTTP handler with all routes mounted: the /v1
+// surface, liveness, and the observability endpoints (/metrics,
+// /debug/traces, /debug/exemplars, /debug/flightrecorder, and
+// /debug/pprof when EnablePProf was called). The whole mux is wrapped
+// in the request-ID/logging middleware.
 func (s *Server) Handler() http.Handler {
-	s.publishExpvar()
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", s.handleHealth)
 	// /v1/health is the component-scoreboard readiness probe (see
 	// health.go); deliberately outside admission control.
 	mux.HandleFunc("GET /v1/health", s.handleHealthV1)
-	// Routes shared by /v1 (canonical) and /api (deprecated alias).
-	routes := []struct {
-		method, path string
-		h            http.HandlerFunc
-	}{
-		{"GET", "/suggest", s.handleSuggestGet},
-		{"POST", "/suggest", s.handleSuggestPost},
-		{"POST", "/feedback", s.handleFeedback},
-		{"POST", "/log", s.handleLog},
-		{"POST", "/learn", s.handleLearn},
-		{"POST", "/refresh", s.handleRefresh},
-		{"GET", "/stats", s.handleStats},
-	}
-	for _, rt := range routes {
-		mux.HandleFunc(rt.method+" /v1"+rt.path, rt.h)
-		mux.HandleFunc(rt.method+" /api"+rt.path, deprecatedAlias("/v1"+rt.path, rt.h))
-	}
-	// Batch and strategy discovery are v1-only: they postdate the /api
-	// surface.
+	// The decoder branches on the method, so one handler serves both.
+	mux.HandleFunc("GET /v1/suggest", s.handleSuggest)
+	mux.HandleFunc("POST /v1/suggest", s.handleSuggest)
 	mux.HandleFunc("POST /v1/suggest/batch", s.handleSuggestBatch)
+	mux.HandleFunc("POST /v1/feedback", s.handleFeedback)
+	mux.HandleFunc("POST /v1/log", s.handleLog)
+	mux.HandleFunc("POST /v1/learn", s.handleLearn)
+	mux.HandleFunc("POST /v1/refresh", s.handleRefresh)
+	mux.HandleFunc("GET /v1/stats", s.handleStats)
 	mux.HandleFunc("GET /v1/strategies", s.handleStrategies)
-	// Snapshot distribution (v1-only): download the serving wire image,
-	// or replace the serving snapshot with a posted image.
+	// Snapshot distribution: download the serving wire image, or replace
+	// the serving snapshot with a posted image.
 	mux.HandleFunc("GET /v1/snapshot", s.handleSnapshotGet)
 	mux.HandleFunc("POST /v1/snapshot", s.handleSnapshotPost)
-	mux.Handle("GET /debug/vars", expvar.Handler())
 	s.mountDebug(mux)
 	return s.withObs(mux)
-}
-
-// legacySunset is the announced removal date of the /api aliases,
-// served verbatim as the Sunset header (RFC 8594) on every legacy
-// response so clients can alert on it mechanically.
-const legacySunset = "Mon, 01 Feb 2027 00:00:00 GMT"
-
-// deprecatedAlias wraps a handler for the legacy /api mount: identical
-// behavior, plus the standard deprecation headers pointing clients at
-// the /v1 successor and the Sunset date after which the alias may be
-// removed.
-func deprecatedAlias(successor string, h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Deprecation", "true")
-		w.Header().Set("Sunset", legacySunset)
-		w.Header().Set("Link", fmt.Sprintf("<%s>; rel=\"successor-version\"", successor))
-		h(w, r)
-	}
 }
 
 // --- Error envelope --------------------------------------------------
@@ -660,7 +618,7 @@ func validateSuggestRequest(req SuggestRequest) (core.SuggestRequest, *apiError)
 	}, nil
 }
 
-func (s *Server) handleSuggestGet(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleSuggest(w http.ResponseWriter, r *http.Request) {
 	// Gate BEFORE decoding: during a flood the shed path must not pay
 	// for parsing work it is about to throw away.
 	gate, ok := s.admitSuggest(r.Context(), w)
@@ -675,27 +633,7 @@ func (s *Server) handleSuggestGet(w http.ResponseWriter, r *http.Request) {
 		writeAPIError(w, r, statusOf(aerr.Code), aerr)
 		return
 	}
-	s.serveSuggestion(w, r, req)
-}
-
-func (s *Server) handleSuggestPost(w http.ResponseWriter, r *http.Request) {
-	gate, ok := s.admitSuggest(r.Context(), w)
-	if !ok {
-		return
-	}
-	defer gate.Release()
-	req, aerr := s.decodeSuggestRequest(r)
-	if aerr != nil {
-		s.stats.suggestRequests.Add(1)
-		s.stats.suggestErrors.Add(1)
-		writeAPIError(w, r, statusOf(aerr.Code), aerr)
-		return
-	}
-	s.serveSuggestion(w, r, req)
-}
-
-func (s *Server) serveSuggestion(w http.ResponseWriter, r *http.Request, req SuggestRequest) {
-	resp, aerr := s.suggestOnce(r.Context(), req)
+	resp, aerr := s.suggestRun(r.Context(), req, nil)
 	if aerr != nil {
 		writeAPIError(w, r, statusOf(aerr.Code), aerr)
 		return
@@ -709,13 +647,6 @@ func (s *Server) serveSuggestion(w http.ResponseWriter, r *http.Request, req Sug
 // substitutes a group runner that answers items of one solve group from
 // a shared multi-RHS DoBatch call (see batch.go).
 type pipelineFn func(ctx context.Context, eng *core.Engine, creq core.SuggestRequest) (core.Result, bool, error, *apiError)
-
-// suggestOnce runs one validated suggestion end to end through the
-// standard pipeline. Shared by the single endpoint and ungrouped batch
-// items.
-func (s *Server) suggestOnce(rctx context.Context, req SuggestRequest) (*SuggestResponse, *apiError) {
-	return s.suggestRun(rctx, req, nil)
-}
 
 // suggestRun runs one suggestion end to end: stats, trace, deadline,
 // engine snapshot, the pipeline stage (runner; nil means
@@ -887,7 +818,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 // percentiles, the pipeline-depth histograms (CG iterations/residual,
 // hitting rounds), process runtime stats, the serving engine's
 // generation and, when caching is enabled, the cache's
-// hit/miss/coalesce/eviction counters. Backs /v1/stats and expvar.
+// hit/miss/coalesce/eviction counters. Backs /v1/stats.
 func (s *Server) statsPayload() map[string]any {
 	m := s.stats.snapshot()
 	stages := make(map[string]any, len(s.tel.stageNames))

@@ -89,7 +89,7 @@ func TestSuggestGet(t *testing.T) {
 	srv, ts, w, _ := testServer(t)
 	q := pickKnownQuery(t, w)
 	var out SuggestResponse
-	code := getJSON(t, ts.URL+"/api/suggest?user=u0000&q="+strings.ReplaceAll(q, " ", "+")+"&k=5", &out)
+	code := getJSON(t, ts.URL+"/v1/suggest?user=u0000&q="+strings.ReplaceAll(q, " ", "+")+"&k=5", &out)
 	if code != 200 {
 		t.Fatalf("status %d", code)
 	}
@@ -110,7 +110,7 @@ func TestSuggestPostWithContext(t *testing.T) {
 	q := pickKnownQuery(t, w)
 	now := time.Now().UTC()
 	var out SuggestResponse
-	code := postJSON(t, ts.URL+"/api/suggest", SuggestRequest{
+	code := postJSON(t, ts.URL+"/v1/suggest", SuggestRequest{
 		User: "u0001", Query: q, K: 6,
 		At: now.Format(time.RFC3339),
 		Context: []ContextItem{
@@ -127,19 +127,19 @@ func TestSuggestPostWithContext(t *testing.T) {
 
 func TestSuggestErrors(t *testing.T) {
 	_, ts, _, _ := testServer(t)
-	if code := getJSON(t, ts.URL+"/api/suggest?user=u&q=", nil); code != 400 {
+	if code := getJSON(t, ts.URL+"/v1/suggest?user=u&q=", nil); code != 400 {
 		t.Errorf("empty query: status %d, want 400", code)
 	}
 	// Unknown query → empty result, not an error.
 	var out SuggestResponse
-	if code := getJSON(t, ts.URL+"/api/suggest?user=u&q=zzz+qqq+www", &out); code != 200 {
+	if code := getJSON(t, ts.URL+"/v1/suggest?user=u&q=zzz+qqq+www", &out); code != 200 {
 		t.Errorf("unknown query: status %d, want 200", code)
 	}
 	if len(out.Suggestions) != 0 {
 		t.Errorf("unknown query suggestions = %v", out.Suggestions)
 	}
 	// Bad JSON body.
-	resp, err := http.Post(ts.URL+"/api/suggest", "application/json", strings.NewReader("{"))
+	resp, err := http.Post(ts.URL+"/v1/suggest", "application/json", strings.NewReader("{"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func TestFeedbackFlow(t *testing.T) {
 	srv, ts, w, sink := testServer(t)
 	q := pickKnownQuery(t, w)
 	for i, rating := range []float64{1, 0.6, 0.2} {
-		code := postJSON(t, ts.URL+"/api/feedback", Feedback{
+		code := postJSON(t, ts.URL+"/v1/feedback", Feedback{
 			User: fmt.Sprintf("expert%d", i), Query: q, Suggestion: "some suggestion", Rating: rating,
 		}, nil)
 		if code != 200 {
@@ -170,19 +170,19 @@ func TestFeedbackFlow(t *testing.T) {
 		t.Error("sink did not receive feedback lines")
 	}
 	// Invalid ratings rejected.
-	if code := postJSON(t, ts.URL+"/api/feedback", Feedback{
+	if code := postJSON(t, ts.URL+"/v1/feedback", Feedback{
 		User: "e", Query: q, Suggestion: "s", Rating: 0.5,
 	}, nil); code != 400 {
 		t.Errorf("off-scale rating: status %d, want 400", code)
 	}
-	if code := postJSON(t, ts.URL+"/api/feedback", Feedback{Rating: 0.2}, nil); code != 400 {
+	if code := postJSON(t, ts.URL+"/v1/feedback", Feedback{Rating: 0.2}, nil); code != 400 {
 		t.Errorf("missing fields: status %d, want 400", code)
 	}
 }
 
 func TestLogEndpoint(t *testing.T) {
 	srv, ts, _, sink := testServer(t)
-	code := postJSON(t, ts.URL+"/api/log", LogRequest{
+	code := postJSON(t, ts.URL+"/v1/log", LogRequest{
 		User: "u7", Query: "manual event", ClickedURL: "example.com/page",
 	}, nil)
 	if code != 200 {
@@ -195,7 +195,7 @@ func TestLogEndpoint(t *testing.T) {
 	if !strings.Contains(sink.String(), "entry\tu7\tmanual event") {
 		t.Error("sink missing entry line")
 	}
-	if code := postJSON(t, ts.URL+"/api/log", LogRequest{User: "u"}, nil); code != 400 {
+	if code := postJSON(t, ts.URL+"/v1/log", LogRequest{User: "u"}, nil); code != 400 {
 		t.Errorf("missing query: status %d", code)
 	}
 }

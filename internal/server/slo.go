@@ -204,7 +204,6 @@ func (s *Server) EnableSLO(cfg SLOConfig) {
 	}
 	s.tel.httpDuration.EnableExemplars(cfg.ExemplarMinAge)
 
-	s.tel.registerSLO(s, rt)
 	s.sloState.Store(rt)
 
 	if cfg.EvalInterval > 0 {
@@ -287,22 +286,6 @@ func (s *Server) FlightRecorder() *slo.FlightRecorder {
 	return nil
 }
 
-// registerSLO adds the SLO/flight-recorder metric series. Called from
-// EnableSLO — registration locks the registry, which is fine off the
-// serving path. Re-enabling registers duplicates; EnableSLO is a
-// construction-time call.
-func (t *telemetry) registerSLO(s *Server, rt *sloRuntime) {
-	t.registry.GaugeFunc("pqsda_slo_state",
-		"Worst objective state at the last evaluation (0 healthy, 1 slow burn, 2 fast burn).", nil,
-		func() float64 { return float64(rt.engine.State()) })
-	t.registry.CounterFunc("pqsda_flightrecorder_events_total",
-		"Wide events recorded by the flight recorder.", nil,
-		func() float64 { return float64(rt.flight.Recorded()) })
-	t.registry.CounterFunc("pqsda_flightrecorder_dumps_total",
-		"Automatic flight-recorder dump files written.", nil,
-		func() float64 { return float64(rt.flight.Dumps()) })
-}
-
 // --- Serving-path recording -------------------------------------------
 
 // recordAvailability counts one guarded API response against the
@@ -339,7 +322,7 @@ func (s *Server) recordSuggestSLO(res core.Result, elapsed time.Duration, degrad
 
 // classifySuggest maps one pipeline outcome to its flight-recorder
 // disposition and HTTP status, mirroring exactly the branches
-// suggestOnce takes when shaping the response.
+// suggestRun takes when shaping the response.
 func classifySuggest(ctx context.Context, degraded bool, err error, aerr *apiError) (slo.Outcome, int) {
 	switch {
 	case aerr != nil:

@@ -431,6 +431,26 @@ func scrapeMetrics(t *testing.T, url string) map[string]float64 {
 	return out
 }
 
+// metricsText returns the /metrics body in the format the Accept
+// header selects ("" = classic Prometheus text).
+func metricsText(t *testing.T, base, accept string) string {
+	t.Helper()
+	req, _ := http.NewRequest("GET", base+"/metrics", nil)
+	if accept != "" {
+		req.Header.Set("Accept", accept)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(raw)
+}
+
 // TestMetricsExpositionConformance runs both exposition formats of a
 // fully loaded server through the strict linter.
 func TestMetricsExpositionConformance(t *testing.T) {
@@ -444,30 +464,11 @@ func TestMetricsExpositionConformance(t *testing.T) {
 		getJSON(t, fmt.Sprintf("%s/v1/suggest?user=u0001&q=%s&k=5", ts.URL, query), nil)
 	}
 
-	get := func(accept string) string {
-		req, _ := http.NewRequest("GET", ts.URL+"/metrics", nil)
-		if accept != "" {
-			req.Header.Set("Accept", accept)
-		}
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		var b strings.Builder
-		sc := bufio.NewScanner(resp.Body)
-		sc.Buffer(make([]byte, 1<<20), 1<<20)
-		for sc.Scan() {
-			b.WriteString(sc.Text())
-			b.WriteByte('\n')
-		}
-		return b.String()
-	}
-	classic := get("")
+	classic := metricsText(t, ts.URL, "")
 	if err := obs.LintText(classic); err != nil {
 		t.Fatalf("classic /metrics fails lint: %v", err)
 	}
-	om := get("application/openmetrics-text")
+	om := metricsText(t, ts.URL, "application/openmetrics-text")
 	if err := obs.LintOpenMetrics(om); err != nil {
 		t.Fatalf("OpenMetrics /metrics fails lint: %v", err)
 	}
@@ -475,11 +476,41 @@ func TestMetricsExpositionConformance(t *testing.T) {
 	if !strings.Contains(om, "trace_id=") {
 		t.Fatal("OpenMetrics exposition carries no exemplars after real traffic")
 	}
-	// The SLO series register only with EnableSLO.
 	for _, name := range []string{"pqsda_slo_state", "pqsda_flightrecorder_events_total", "pqsda_flightrecorder_dumps_total"} {
 		if !strings.Contains(classic, name) {
 			t.Errorf("metric %s missing from /metrics", name)
 		}
+	}
+}
+
+// TestEnableSLOTwiceRegistersOnce: replacing the SLO runtime must not
+// re-register its metric families — each keeps one TYPE header and one
+// sample in both exposition formats, and the sample reads the runtime
+// that is installed now.
+func TestEnableSLOTwiceRegistersOnce(t *testing.T) {
+	srv, ts, w, _ := testServer(t)
+	srv.EnableSLO(testSLOConfig(newSLOClock(), ""))
+	srv.EnableSLO(testSLOConfig(newSLOClock(), ""))
+	defer srv.Close()
+	getJSON(t, fmt.Sprintf("%s/v1/suggest?user=u0001&q=%s&k=5", ts.URL, pickKnownQuery(t, w)), nil)
+
+	classic := metricsText(t, ts.URL, "")
+	if err := obs.LintText(classic); err != nil {
+		t.Fatalf("classic /metrics fails lint: %v", err)
+	}
+	om := metricsText(t, ts.URL, "application/openmetrics-text")
+	if err := obs.LintOpenMetrics(om); err != nil {
+		t.Fatalf("OpenMetrics /metrics fails lint: %v", err)
+	}
+	for _, name := range []string{"pqsda_slo_state", "pqsda_flightrecorder_events_total", "pqsda_flightrecorder_dumps_total"} {
+		for format, body := range map[string]string{"classic": classic, "openmetrics": om} {
+			if n := strings.Count("\n"+body, "\n"+name+" "); n != 1 {
+				t.Errorf("%s: %d samples of %s, want 1", format, n, name)
+			}
+		}
+	}
+	if !strings.Contains(classic, "\npqsda_flightrecorder_events_total 1\n") {
+		t.Error("flight-recorder counter does not read the live runtime's one event")
 	}
 }
 
@@ -668,9 +699,6 @@ func TestSLOHammer(t *testing.T) {
 	worker(func() { // burn evaluation against a moving clock
 		clock.Advance(100 * time.Millisecond)
 		srv.EvaluateSLO()
-	})
-	worker(func() { // histogram resets race the observers
-		http.Post(ts.URL+"/debug/stats/reset", "application/json", nil)
 	})
 	worker(func() { // flight-recorder reads race the writers
 		if resp, err := http.Get(ts.URL + "/debug/flightrecorder"); err == nil {

@@ -1,8 +1,6 @@
 package server
 
 import (
-	"expvar"
-	"fmt"
 	"runtime"
 	"sync/atomic"
 	"time"
@@ -338,6 +336,27 @@ func newTelemetry(s *Server) *telemetry {
 		func() float64 { var m runtime.MemStats; runtime.ReadMemStats(&m); return float64(m.HeapAlloc) })
 	reg.CounterFunc("pqsda_gc_pause_seconds_total", "Cumulative GC stop-the-world pause time.", nil,
 		func() float64 { var m runtime.MemStats; runtime.ReadMemStats(&m); return float64(m.PauseTotalNs) / 1e9 })
+
+	// SLO and flight-recorder series read the live runtime (0 until
+	// EnableSLO installs one), so replacing it neither re-registers a
+	// family nor keeps the replaced recorder ring reachable.
+	sloStat := func(read func(rt *sloRuntime) float64) func() float64 {
+		return func() float64 {
+			if rt := s.sloState.Load(); rt != nil {
+				return read(rt)
+			}
+			return 0
+		}
+	}
+	reg.GaugeFunc("pqsda_slo_state",
+		"Worst objective state at the last evaluation (0 healthy, 1 slow burn, 2 fast burn).", nil,
+		sloStat(func(rt *sloRuntime) float64 { return float64(rt.engine.State()) }))
+	reg.CounterFunc("pqsda_flightrecorder_events_total",
+		"Wide events recorded by the flight recorder.", nil,
+		sloStat(func(rt *sloRuntime) float64 { return float64(rt.flight.Recorded()) }))
+	reg.CounterFunc("pqsda_flightrecorder_dumps_total",
+		"Automatic flight-recorder dump files written.", nil,
+		sloStat(func(rt *sloRuntime) float64 { return float64(rt.flight.Dumps()) }))
 	return t
 }
 
@@ -408,25 +427,6 @@ func (t *telemetry) observeSnapshotBuild(b snapshot.Stats) {
 	}
 }
 
-// reset re-baselines every latency/depth histogram (counts, sums and
-// the previously forever-monotonic max) without touching the request
-// counters — the counters are rates, the histograms are distributions.
-func (t *telemetry) reset() {
-	for _, h := range t.stages {
-		h.Reset()
-	}
-	for _, h := range t.selectDuration {
-		h.Reset()
-	}
-	for _, h := range []*obs.Histogram{
-		t.cgIterations, t.cgResidual, t.hittingRounds, t.hittingWalkSteps,
-		t.solveBatchSize, t.httpDuration, t.queueDepth, t.refreshDuration,
-		t.snapshotBuildFull, t.snapshotBuildDelta, t.snapshotDeltaSize,
-	} {
-		h.Reset()
-	}
-}
-
 // stageStatsPayload renders one latency histogram for /v1/stats: the
 // legacy count/totalMs/meanMs/maxMs keys plus the tail percentiles the
 // old aggregates could not express.
@@ -476,34 +476,4 @@ func (s *Server) runtimePayload() map[string]any {
 		"gcPauseTotalMs": float64(m.PauseTotalNs) / 1e6,
 		"lastGCPauseMs":  lastPause,
 	}
-}
-
-// expvarSeq numbers the Servers of this process so each can publish
-// its stats under a unique /debug/vars name: expvar's namespace is
-// process-global and Publish panics on duplicates. The first server
-// keeps the historical name "pqsda"; later ones (more servers in one
-// process, test fixtures) get "pqsda_2", "pqsda_3", … instead of being
-// silently dropped as before. Published closures keep their Server
-// reachable for the life of the process — the price of expvar's global
-// registry; the per-instance /metrics endpoint has no such pin.
-var expvarSeq atomic.Int64
-
-func (s *Server) publishExpvar() {
-	s.expvarOnce.Do(func() {
-		n := expvarSeq.Add(1)
-		name := "pqsda"
-		if n > 1 {
-			name = fmt.Sprintf("pqsda_%d", n)
-		}
-		s.expvarName = name
-		expvar.Publish(name, expvar.Func(func() any { return s.statsPayload() }))
-	})
-}
-
-// ExpvarName reports the name this server's stats are published under
-// on /debug/vars ("pqsda" for the first server in the process,
-// "pqsda_N" after).
-func (s *Server) ExpvarName() string {
-	s.publishExpvar()
-	return s.expvarName
 }

