@@ -19,8 +19,12 @@ build:
 test:
 	$(GO) test ./...
 
+# benchmark/ is a module of its own, compiled against this one: vetting
+# it here makes an API break that would fail the benchmark build fail the
+# first CI step instead of the last.
 vet:
 	$(GO) vet ./...
+	$(GO) vet -C benchmark ./...
 
 # Fails when any file needs gofmt — keeps diffs mechanical-noise-free.
 fmt-check:
@@ -67,10 +71,16 @@ bench:
 # (proportional to the delta and merged rows — measured 55 allocs/op,
 # guarded at 80 for headroom), enforced on every CI run. A cold
 # suggestion-cache miss (carve + Eq. 15 system + walker + selection on
-# pooled scratch — measured 97 allocs/op) is guarded at 150.
+# pooled scratch — measured 99 allocs/op) is guarded at 150. The 8-lane
+# tile sweep is held to 0 allocs/op like the single-lane one, and a
+# 32-lane DoBatch solve group on a cached compact (measured 488
+# allocs/op, ≈ 15 per lane) at that + 10 %.
 bench-guard:
-	$(GO) test -run '^$$' -bench 'HittingTimeSteadyState' -benchmem ./internal/randomwalk/ | \
+	$(GO) test -run '^$$' -bench 'HittingTimeSteadyState|HittingTimeTileSteadyState' -benchmem ./internal/randomwalk/ | tee .bench.guard.out | \
 		$(GO) run ./cmd/benchjson -guard BenchmarkHittingTimeSteadyState -max-allocs 0
+	$(GO) run ./cmd/benchjson -guard BenchmarkHittingTimeTileSteadyState -max-allocs 0 < .bench.guard.out
+	$(GO) test -run '^$$' -bench 'DoBatch32/SameF0' -benchmem ./internal/core/ | \
+		$(GO) run ./cmd/benchjson -guard BenchmarkDoBatch32/SameF0 -max-allocs 537
 	$(GO) test -run '^$$' -bench 'DeltaBuildSteadyState' -benchmem ./internal/bipartite/ | \
 		$(GO) run ./cmd/benchjson -guard BenchmarkDeltaBuildSteadyState -max-allocs 80
 	$(GO) test -run '^$$' -bench 'ShedPath' -benchmem ./internal/server/ | \

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/diversify"
 	"repro/internal/obs"
 	"repro/internal/querylog"
 	"repro/internal/regularize"
@@ -29,9 +30,10 @@ import (
 // Per-item semantics match Do exactly: cache hits serve the stored list
 // with zeroed stage timings, CachedOnly misses return ErrNotCached
 // without computing, personalization runs per item on top of the shared
-// diversified lists. Shared-stage timings (compact, solve) are reported
-// on every item of a solve group — they are wall times of stages the
-// item's result waited on, not exclusive per-item cost.
+// diversified lists. Shared-stage timings (compact, solve, and hitting:
+// a group's lanes run Algorithm 1 together) are reported on every item
+// of a solve group — they are wall times of stages the item's result
+// waited on, not exclusive per-item cost.
 func (e *Engine) DoBatch(ctx context.Context, reqs []SuggestRequest) ([]Result, []error) {
 	results := make([]Result, len(reqs))
 	errs := make([]error, len(reqs))
@@ -62,8 +64,8 @@ func (e *Engine) DoBatch(ctx context.Context, reqs []SuggestRequest) ([]Result, 
 		if st.at.IsZero() {
 			st.at = now
 		}
-		strategy, _, serr := e.resolveStrategy(req.Strategy)
-		st.strategy = strategy
+		strategy, div, serr := e.resolveStrategy(req.Strategy)
+		st.strategy, st.div = strategy, div
 		if serr != nil {
 			results[i] = Result{Generation: snap.Generation, Strategy: strategy}
 			errs[i] = serr
@@ -160,6 +162,7 @@ func (e *Engine) DoBatch(ctx context.Context, reqs []SuggestRequest) ([]Result, 
 type batchItemState struct {
 	at       time.Time
 	strategy string
+	div      diversify.Diversifier // strategy, resolved
 	key      suggestcache.Key
 	keyed    bool // key computed (cache attached, not NoCache)
 	done     bool // result or error finalized pre-solve
@@ -167,8 +170,8 @@ type batchItemState struct {
 }
 
 // solveGroup runs one solve group end to end: one compact build, one
-// blocked multi-RHS Eq. 15 solve for every member's F⁰, then the
-// per-item selection stage and cache insertion.
+// blocked multi-RHS Eq. 15 solve for every member's F⁰, one selection
+// stage over all of them, then cache insertion per item.
 func (e *Engine) solveGroup(ctx context.Context, snap *snapshot.Snapshot, reqs []SuggestRequest, states []batchItemState, members []int, results []Result, errs []error) {
 	fail := func(err error) {
 		for _, i := range members {
@@ -177,14 +180,21 @@ func (e *Engine) solveGroup(ctx context.Context, snap *snapshot.Snapshot, reqs [
 		}
 	}
 
-	// All members share a seed set by construction; resolve it from the
-	// first member (times beyond nInput are per item and re-derived
-	// below).
+	// All members share a seed set by construction: resolve it once,
+	// from the first member, remembering which context entry each
+	// context seed came from. Only the entries' ages differ per member.
 	lead := reqs[members[0]]
-	seeds, _, nInput := resolveSeeds(snap.Rep, lead.Query, lead.Context, states[members[0]].at)
+	seeds, _, nInput := resolveSeeds(snap.Rep, lead.Query, nil, time.Time{})
 	if nInput == 0 {
 		fail(ErrUnknownQuery)
 		return
+	}
+	ctxOf := make([]int, nInput, nInput+len(lead.Context))
+	for j, c := range lead.Context {
+		if id, ok := snap.Rep.QueryID(c.Query); ok {
+			seeds = append(seeds, id)
+			ctxOf = append(ctxOf, j)
+		}
 	}
 
 	t0 := time.Now()
@@ -206,8 +216,11 @@ func (e *Engine) solveGroup(ctx context.Context, snap *snapshot.Snapshot, reqs [
 	f0s := make([][]float64, len(members))
 	seedSets := make([][]int, len(members))
 	var seedLocals []int
+	times := make([]time.Duration, len(seeds)) // input-derived seeds: 0
 	for mi, i := range members {
-		_, times, _ := resolveSeeds(snap.Rep, reqs[i].Query, reqs[i].Context, states[i].at)
+		for s := nInput; s < len(seeds); s++ {
+			times[s] = elapsedSince(reqs[i].Context[ctxOf[s]].Time, states[i].at)
+		}
 		locals, f0, ok := seedVector(compact, seeds, times, nInput, e.cfg.Regularize.Lambda)
 		if !ok {
 			fail(ErrUnknownQuery)
@@ -231,9 +244,10 @@ func (e *Engine) solveGroup(ctx context.Context, snap *snapshot.Snapshot, reqs [
 		return
 	}
 
+	lanes := make([]selectionLane, 0, len(members))
 	for mi, i := range members {
 		reg := regs[mi]
-		res := Result{
+		results[i] = Result{
 			Generation:      snap.Generation,
 			Strategy:        states[i].strategy,
 			CompactSize:     compact.Size(),
@@ -244,7 +258,6 @@ func (e *Engine) solveGroup(ctx context.Context, snap *snapshot.Snapshot, reqs [
 			SolveBatchSize:  len(members),
 		}
 		if reg.First < 0 {
-			results[i] = res
 			if serr != nil {
 				errs[i] = serr
 			} else {
@@ -252,19 +265,15 @@ func (e *Engine) solveGroup(ctx context.Context, snap *snapshot.Snapshot, reqs [
 			}
 			continue
 		}
-		_, div, derr := e.resolveStrategy(states[i].strategy)
-		if derr != nil { // unreachable: strategy resolved in phase 1
-			results[i], errs[i] = res, derr
-			continue
-		}
-		herr := e.runSelection(ctx, snap, compact, div, states[i].strategy, reqs[i].Query, reqs[i].K, seedLocals, reg, &res)
-		results[i] = res
-		if herr != nil {
-			errs[i] = herr
-			continue
-		}
-		if states[i].keyed {
-			e.cache.Put(states[i].key, res)
+		lanes = append(lanes, selectionLane{
+			div: states[i].div, name: states[i].strategy, query: reqs[i].Query, k: reqs[i].K,
+			reg: reg, res: &results[i], err: &errs[i],
+		})
+	}
+	e.runSelection(ctx, snap, compact, seedLocals, lanes)
+	for _, i := range members {
+		if errs[i] == nil && states[i].keyed {
+			e.cache.Put(states[i].key, results[i])
 		}
 	}
 }

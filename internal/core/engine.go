@@ -16,7 +16,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 	"sync/atomic"
 	"time"
 
@@ -304,7 +306,9 @@ func (e *Engine) suggestDiversifiedOn(ctx context.Context, snap *snapshot.Snapsh
 	if reg.First < 0 {
 		return res, ErrUnknownQuery
 	}
-	herr := e.runSelection(ctx, snap, compact, div, name, query, k, seedLocals, reg, &res)
+	var herr error
+	lane := [1]selectionLane{{div: div, name: name, query: query, k: k, reg: reg, res: &res, err: &herr}}
+	e.runSelection(ctx, snap, compact, seedLocals, lane[:])
 	return res, herr
 }
 
@@ -344,12 +348,33 @@ func seedVector(compact *bipartite.Compact, seeds []int, seedTimes []time.Durati
 	return seedLocals, f0, true
 }
 
+// selectionLane is one request's part in runSelection: what the
+// selection stage needs of it, and where its answer goes.
+type selectionLane struct {
+	div   diversify.Diversifier // resolved strategy
+	name  string                // its canonical registry name
+	query string
+	k     int
+	reg   regularize.Result
+	res   *Result // selection fields are filled in
+	err   *error  // receives the strategy's error, if any
+}
+
 // runSelection is the pipeline tail shared by the single-request path
-// and DoBatch: the relevance gate over the solved F*, the
-// diversification strategy's selection, and the naming of the selected
-// compact locals (strings + symbol ids). It fills the selection fields
-// of res and returns the strategy's error, if any.
-func (e *Engine) runSelection(ctx context.Context, snap *snapshot.Snapshot, compact *bipartite.Compact, div diversify.Diversifier, name, query string, k int, seedLocals []int, reg regularize.Result, res *Result) error {
+// (one lane) and DoBatch (the lanes of one solve group, all on compact
+// with the seed locals seedLocals): the relevance gate over each lane's
+// solved F*, one diversify.SelectAll per strategy among the lanes, and
+// the naming of the selected compact locals (strings + symbol ids). It
+// may reorder lanes. Every lane's HittingTime is the wall time of the
+// whole stage — what that lane's result waited on.
+func (e *Engine) runSelection(ctx context.Context, snap *snapshot.Snapshot, compact *bipartite.Compact, seedLocals []int, lanes []selectionLane) {
+	if len(lanes) == 0 {
+		return
+	}
+	// Lanes of one strategy become adjacent, so each strategy sees all
+	// of its lanes in one call.
+	slices.SortStableFunc(lanes, func(a, b selectionLane) int { return strings.Compare(a.name, b.name) })
+
 	// Relevance gate: diversification picks only from the queries the
 	// regularization stage scored highest, so coverage of other facets
 	// never costs unrelated suggestions.
@@ -357,45 +382,71 @@ func (e *Engine) runSelection(ctx context.Context, snap *snapshot.Snapshot, comp
 	if pf <= 0 {
 		pf = 3
 	}
-	poolSize := pf * k
-	if poolSize < 20 {
-		poolSize = 20
+	topicsOf, topicWeights := topicsOn(snap, compact)
+	reqs := make([]diversify.Request, len(lanes))
+	maxPool := 0
+	for i, ln := range lanes {
+		poolSize := max(pf*ln.k, 20)
+		ranked := ln.reg.Rank(seedLocals)
+		if poolSize > len(ranked) {
+			poolSize = len(ranked)
+		}
+		maxPool = max(maxPool, poolSize)
+		reqs[i] = diversify.Request{
+			Compact:      compact,
+			Query:        ln.query,
+			First:        ln.reg.First,
+			K:            ln.k,
+			Excluded:     seedLocals,
+			Pool:         ranked[:poolSize],
+			Relevance:    ln.reg.F,
+			TopicsOf:     topicsOf,
+			TopicWeights: topicWeights,
+		}
 	}
-	ranked := reg.Rank(seedLocals)
-	if poolSize > len(ranked) {
-		poolSize = len(ranked)
-	}
-	pool := ranked[:poolSize]
 
 	// Selection stage: the strategy picks k diverse suggestions from
 	// the relevance-gated pool. The stage keeps its historical span and
 	// histogram name ("hitting" — the paper's selector) for dashboard
 	// continuity; the strategy attr and the per-strategy server metrics
 	// tell the selectors apart.
-	t0 := time.Now()
 	sp := obs.StartSpan(ctx, "hitting")
-	sp.SetAttr("strategy", name)
-	topicsOf, topicWeights := topicsOn(snap, compact)
-	selected, herr := div.Select(ctx, diversify.Request{
-		Compact:      compact,
-		Query:        query,
-		First:        reg.First,
-		K:            k,
-		Excluded:     seedLocals,
-		Pool:         pool,
-		Relevance:    reg.F,
-		TopicsOf:     topicsOf,
-		TopicWeights: topicWeights,
-	})
-	res.HittingTime = time.Since(t0)
+	sp.SetAttr("strategy", lanes[0].name)
+	var elapsed time.Duration
+	maxRounds, total := 0, 0
+	for from := 0; from < len(lanes); {
+		to := from + 1
+		for to < len(lanes) && lanes[to].name == lanes[from].name {
+			to++
+		}
+		t0 := time.Now()
+		selected, errs := diversify.SelectAll(ctx, lanes[from].div, reqs[from:to])
+		elapsed += time.Since(t0)
+		for i, sel := range selected {
+			ln := lanes[from+i]
+			*ln.err = errs[i]
+			nameSelection(snap, compact, sel, ln.res)
+			maxRounds = max(maxRounds, ln.res.HittingRounds)
+			total += len(sel)
+		}
+		from = to
+	}
+	for _, ln := range lanes {
+		ln.res.HittingTime = elapsed
+	}
+	sp.SetAttr("lanes", len(lanes))
+	sp.SetAttr("rounds", maxRounds)
+	sp.SetAttr("selected", total)
+	sp.SetAttr("poolSize", maxPool)
+	sp.End()
+}
+
+// nameSelection fills res with a selection of compact locals: the
+// round count, the query strings and their symbol ids.
+func nameSelection(snap *snapshot.Snapshot, compact *bipartite.Compact, selected []int, res *Result) {
 	if n := len(selected); n > 0 {
 		res.HittingRounds = n - 1
 	}
-	sp.SetAttr("rounds", res.HittingRounds)
-	sp.SetAttr("selected", len(selected))
-	sp.SetAttr("poolSize", len(pool))
-	sp.End()
-
 	res.Diversified = make([]string, len(selected))
 	for i, s := range selected {
 		res.Diversified[i] = compact.QueryName(s)
@@ -407,7 +458,6 @@ func (e *Engine) runSelection(ctx context.Context, snap *snapshot.Snapshot, comp
 		}
 	}
 	res.Suggestions = res.Diversified
-	return herr
 }
 
 // LearnUser folds a (new or returning) user's search history into the
@@ -503,14 +553,16 @@ func resolveSeeds(rep *bipartite.Representation, query string, sctx []querylog.E
 	for _, c := range sctx {
 		if id, ok := rep.QueryID(c.Query); ok {
 			seeds = append(seeds, id)
-			dt := at.Sub(c.Time)
-			if dt < 0 {
-				dt = 0
-			}
-			times = append(times, dt)
+			times = append(times, elapsedSince(c.Time, at))
 		}
 	}
 	return seeds, times, nInput
+}
+
+// elapsedSince is how long before at a context query was submitted; a
+// context entry stamped after the input query counts as simultaneous.
+func elapsedSince(t, at time.Time) time.Duration {
+	return max(at.Sub(t), 0)
 }
 
 // termFallbackSeeds finds up to n known queries sharing terms with an

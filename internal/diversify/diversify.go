@@ -87,6 +87,26 @@ type Diversifier interface {
 	Select(ctx context.Context, req Request) ([]int, error)
 }
 
+// SelectAll runs d.Select for every request and returns the selections
+// and errors in request order. All requests must be on the same Compact:
+// a strategy whose selections on one compact can share work (the
+// hitting-time strategy sweeps the compact's transition once for eight
+// requests) takes them together; for every other strategy this is the
+// loop over Select.
+func SelectAll(ctx context.Context, d Diversifier, reqs []Request) ([][]int, []error) {
+	if b, ok := d.(interface {
+		selectAll(context.Context, []Request) ([][]int, []error)
+	}); ok && len(reqs) > 0 {
+		return b.selectAll(ctx, reqs)
+	}
+	selected := make([][]int, len(reqs))
+	errs := make([]error, len(reqs))
+	for i, req := range reqs {
+		selected[i], errs[i] = d.Select(ctx, req)
+	}
+	return selected, errs
+}
+
 // Config is the strategy configuration embedded in core.Config. It is
 // deliberately scalar-only: core.Config is persisted as JSON in the
 // snapshot image, so no functions or interfaces may live here.

@@ -30,3 +30,14 @@ func (h *hittingStrategy) Select(ctx context.Context, req Request) ([]int, error
 	walker := hittingtime.WalkerFor(req.Compact, h.cfg)
 	return walker.SelectDiverseCtx(ctx, req.First, req.K, req.Excluded, req.Pool)
 }
+
+// selectAll is Select for requests on one compact: they share its
+// memoized walker, so the lanes go through Algorithm 1 together.
+func (h *hittingStrategy) selectAll(ctx context.Context, reqs []Request) ([][]int, []error) {
+	walker := hittingtime.WalkerFor(reqs[0].Compact, h.cfg)
+	lanes := make([]hittingtime.Lane, len(reqs))
+	for i, req := range reqs {
+		lanes[i] = hittingtime.Lane{First: req.First, K: req.K, Excluded: req.Excluded, Pool: req.Pool}
+	}
+	return walker.SelectDiverseLanes(ctx, lanes)
+}

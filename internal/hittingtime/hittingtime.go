@@ -383,7 +383,7 @@ func (w *Walker) SelectDiverseCtx(ctx context.Context, first int, k int, exclude
 			sc.candidates = append(sc.candidates, i)
 		}
 	}
-	selected = []int{first}
+	selected = append(make([]int, 0, min(k, len(sc.candidates)+1)), first)
 	sc.inS[first] = true
 	for len(selected) < k {
 		if err := ctx.Err(); err != nil {

@@ -61,7 +61,7 @@ func (m *UPM) FoldIn(userID string, sessions []Session, iterations int, seed int
 
 	// Drop tokens outside the trained vocabularies: the fold-in cannot
 	// grow β/δ, and unseen words carry no topic signal anyway.
-	clean := make([]Session, 0, len(sessions))
+	clean := make([]flatSession, 0, len(sessions))
 	for _, sess := range sessions {
 		ns := Session{Time: clampUnit(sess.Time)}
 		for _, ev := range sess.Events {
@@ -79,7 +79,7 @@ func (m *UPM) FoldIn(userID string, sessions []Session, iterations int, seed int
 			}
 		}
 		if len(ns.Events) > 0 {
-			clean = append(clean, ns)
+			clean = append(clean, flattenSession(ns))
 		}
 	}
 	if len(clean) == 0 {

@@ -127,14 +127,18 @@ func TrainUPM(c *Corpus, cfg UPMConfig) *UPM {
 		docRngs[d] = rand.New(rand.NewSource(cfg.Seed<<20 + int64(d)))
 	}
 
-	// Session-level assignments z[d][s].
+	// Session-level assignments z[d][s], over sessions flattened once:
+	// every sweep reads each session K + 2 times.
 	z := make([][]int, len(c.Docs))
+	flat := make([][]flatSession, len(c.Docs))
 	for d, doc := range c.Docs {
 		z[d] = make([]int, len(doc.Sessions))
+		flat[d] = make([]flatSession, len(doc.Sessions))
 		for s, sess := range doc.Sessions {
+			flat[d][s] = flattenSession(sess)
 			k := docRngs[d].Intn(cfg.K)
 			z[d][s] = k
-			m.addSession(d, k, sess, 1)
+			m.addSession(d, k, flat[d][s], 1)
 		}
 	}
 
@@ -144,8 +148,7 @@ func TrainUPM(c *Corpus, cfg UPMConfig) *UPM {
 	}
 
 	sweepDoc := func(d int, logw []float64) {
-		doc := c.Docs[d]
-		for s, sess := range doc.Sessions {
+		for s, sess := range flat[d] {
 			old := z[d][s]
 			m.addSession(d, old, sess, -1)
 			for k := 0; k < cfg.K; k++ {
@@ -236,17 +239,49 @@ func newUPM(c *Corpus, cfg UPMConfig) *UPM {
 	return m
 }
 
-func (m *UPM) addSession(d, k int, sess Session, delta float64) {
+// flatSession is a Session as the sampler reads it: the word and URL
+// tokens in order and, for each position, how many earlier tokens of the
+// session equal it — the count the sequential Dirichlet-multinomial of
+// Eq. 23 adds to a token's own-topic count when that position is
+// reached.
+type flatSession struct {
+	words, urls         []int
+	wordsSeen, urlsSeen []float64
+	time                float64
+}
+
+func flattenSession(s Session) flatSession {
+	fs := flatSession{words: s.Words(), urls: s.URLs(), time: s.Time}
+	fs.wordsSeen = earlierEqual(fs.words)
+	fs.urlsSeen = earlierEqual(fs.urls)
+	return fs
+}
+
+// earlierEqual returns, per position, the number of earlier equal tokens.
+func earlierEqual(tokens []int) []float64 {
+	if len(tokens) == 0 {
+		return nil
+	}
+	seen := make([]float64, len(tokens))
+	count := make(map[int]float64, len(tokens))
+	for i, t := range tokens {
+		seen[i] = count[t]
+		count[t]++
+	}
+	return seen
+}
+
+func (m *UPM) addSession(d, k int, sess flatSession, delta float64) {
 	m.ndk[d][k] += delta
 	m.ndkSum[d] += delta
-	for _, w := range sess.Words() {
+	for _, w := range sess.words {
 		m.nkwd[d][k][w] += delta
 		if m.nkwd[d][k][w] == 0 {
 			delete(m.nkwd[d][k], w)
 		}
 		m.nkwdSum[d][k] += delta
 	}
-	for _, u := range sess.URLs() {
+	for _, u := range sess.urls {
 		m.nkud[d][k][u] += delta
 		if m.nkud[d][k][u] == 0 {
 			delete(m.nkud[d][k], u)
@@ -260,23 +295,19 @@ func (m *UPM) addSession(d, k int, sess Session, delta float64) {
 // sequential Dirichlet-multinomial probability of the session's words
 // under φ_kd (prior β_k), likewise for URLs under Ω_kd (prior δ_k), and
 // the Beta timestamp density.
-func (m *UPM) sessionLogWeight(d, k int, sess Session) float64 {
+func (m *UPM) sessionLogWeight(d, k int, sess flatSession) float64 {
 	lw := math.Log(m.ndk[d][k] + m.alpha[k])
 	wSum := m.nkwdSum[d][k]
-	bumpW := make(map[int]float64)
-	for _, w := range sess.Words() {
-		lw += math.Log((m.nkwd[d][k][w] + bumpW[w] + m.betaPrior[k][w]) / (wSum + m.betaSum[k]))
-		bumpW[w]++
+	for i, w := range sess.words {
+		lw += math.Log((m.nkwd[d][k][w] + sess.wordsSeen[i] + m.betaPrior[k][w]) / (wSum + m.betaSum[k]))
 		wSum++
 	}
 	uSum := m.nkudSum[d][k]
-	bumpU := make(map[int]float64)
-	for _, u := range sess.URLs() {
-		lw += math.Log((m.nkud[d][k][u] + bumpU[u] + m.deltaPrior[k][u]) / (uSum + m.deltaSum[k]))
-		bumpU[u]++
+	for i, u := range sess.urls {
+		lw += math.Log((m.nkud[d][k][u] + sess.urlsSeen[i] + m.deltaPrior[k][u]) / (uSum + m.deltaSum[k]))
 		uSum++
 	}
-	lw += numeric.BetaLogPDF(sess.Time, m.tau[k][0], m.tau[k][1])
+	lw += numeric.BetaLogPDF(sess.time, m.tau[k][0], m.tau[k][1])
 	return lw
 }
 

@@ -1,6 +1,8 @@
 package topicmodel
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"testing"
 )
@@ -182,5 +184,45 @@ func TestUPMPerplexityBeatsLDAWithPersonalVocab(t *testing.T) {
 	pl := HeldOutPerplexity(lda, held, len(obs.Docs))
 	if pu >= pl {
 		t.Errorf("UPM perplexity %v not below LDA %v on personal-vocab corpus", pu, pl)
+	}
+}
+
+// upmFingerprint is the FNV-1a hash of the bit patterns of everything a
+// trained UPM serves: every θ_d, every β_k and δ_k prior, τ_k and α.
+func upmFingerprint(m *UPM) uint64 {
+	h := fnv.New64a()
+	var buf [8]byte
+	put := func(vs ...float64) {
+		for _, v := range vs {
+			binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
+			h.Write(buf[:])
+		}
+	}
+	for d := 0; d < m.NumDocs(); d++ {
+		put(m.Theta(d)...)
+	}
+	for k := 0; k < m.K(); k++ {
+		put(m.betaPrior[k]...)
+		put(m.deltaPrior[k]...)
+		put(m.tau[k][0], m.tau[k][1])
+	}
+	put(m.alpha...)
+	return h.Sum64()
+}
+
+// TestUPMBitIdenticalToRecorded pins the sampler's arithmetic: the
+// constants were recorded before the Gibbs sweep moved from per-call
+// Session.Words()/URLs() slices and bump maps to sessions flattened
+// once, so any change of operand or operation order shows up here.
+func TestUPMBitIdenticalToRecorded(t *testing.T) {
+	c := synthCorpus(t)
+	m := trainedUPM(t, c)
+	if got, want := upmFingerprint(m), uint64(0x81e0d4e3e9eeb869); got != want {
+		t.Errorf("TrainUPM fingerprint %#x, recorded %#x", got, want)
+	}
+	m.FoldIn("newcomer", c.Docs[3].Sessions, 30, 99)
+	m.FoldIn(c.Docs[1].UserID, c.Docs[5].Sessions, 0, 7) // replaces a trained user
+	if got, want := upmFingerprint(m), uint64(0x98b04f0e4ee90b2c); got != want {
+		t.Errorf("FoldIn fingerprint %#x, recorded %#x", got, want)
 	}
 }
