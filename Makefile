@@ -41,7 +41,7 @@ race:
 # picks its input by ranging over a map, or leans on state an earlier
 # test left in a pool or memo, fails here long before it flakes in CI.
 flake:
-	$(GO) test -count=20 -shuffle=on ./internal/core/ ./internal/bipartite/ ./internal/hittingtime/ ./internal/regularize/ ./internal/randomwalk/ ./internal/sparse/
+	$(GO) test -count=20 -shuffle=on ./internal/core/ ./internal/bipartite/ ./internal/hittingtime/ ./internal/regularize/ ./internal/randomwalk/ ./internal/sparse/ ./internal/topicmodel/
 
 # Every benchmark runs exactly once: catches harness bitrot (bad
 # fixtures, panics, compile errors in bench-only code) without paying

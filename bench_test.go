@@ -233,17 +233,23 @@ func BenchmarkBuildRepresentation(b *testing.B) {
 	}
 }
 
-// BenchmarkTrainUPM measures offline user profiling (30 sweeps, one
-// hyperparameter round).
+// BenchmarkTrainUPM measures offline user profiling on the serving
+// benchmark's world and training set-up (benchmark/fixture.go): 150
+// users × 40 sessions, K = 10, 60 sweeps, default hyperparameter
+// rounds, on the cleaned log as NewEngine trains it — the benchmark's
+// topicmodel.train_s.
 func BenchmarkTrainUPM(b *testing.B) {
-	w := synth.Generate(synth.Config{Seed: 6, NumUsers: 20, SessionsPerUser: 20})
-	sessions := querylog.Sessionize(w.Log, querylog.SessionizerConfig{})
-	corpus := topicmodel.BuildCorpus(sessions, w.NormalizeTime)
+	w := synth.Generate(synth.Config{
+		Seed: 1, NumFacets: 12, NumUsers: 150, SessionsPerUser: 40,
+		VocabPerFacet: 40, URLsPerFacet: 80, SharedTerms: 8,
+		ClickProb: 0.4, NoiseClickProb: 0.15,
+	})
+	cleaned, _ := querylog.Clean(w.Log, querylog.CleanerConfig{})
+	sessions := querylog.Sessionize(cleaned, querylog.SessionizerConfig{})
+	corpus := topicmodel.BuildCorpus(sessions, nil)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		topicmodel.TrainUPM(corpus, topicmodel.UPMConfig{
-			K: 8, Iterations: 30, Seed: int64(i), HyperRounds: 1, HyperIters: 5,
-		})
+		topicmodel.TrainUPM(corpus, topicmodel.UPMConfig{K: 10, Iterations: 60, Seed: 1})
 	}
 }
 

@@ -46,7 +46,6 @@ func main() {
 		budget    = flag.Int("budget", 200, "compact representation size (the paper's Q)")
 		topics    = flag.Int("topics", 10, "UPM topic count")
 		verbose   = flag.Bool("v", false, "print stage diagnostics")
-		workers   = flag.Int("workers", 1, "parallel workers for UPM training across user documents (the trained model is identical at any count); serving parallelism is per request, not per kernel")
 		serve     = flag.String("serve", "", "serve the HTTP suggestion API on this address instead of the CLI")
 		reqTimout = flag.Duration("request-timeout", 5*time.Second, "per-request suggestion deadline for -serve (0 disables; overruns return 504)")
 		slowQuery = flag.Duration("slow-query", 250*time.Millisecond, "log the full trace of any suggestion slower than this (0 disables)")
@@ -143,7 +142,6 @@ func main() {
 			Topics:              *topics,
 			TrainingIterations:  60,
 			Seed:                *seed,
-			Workers:             *workers,
 			DiversificationOnly: *user == "" && *serve == "" && *savePath == "" && *snapSave == "",
 			RefreshMode:         *refrMode,
 			Strategy:            *strategy,

@@ -30,7 +30,6 @@ func main() {
 		k         = flag.Int("k", 10, "topic count")
 		iters     = flag.Int("iters", 80, "Gibbs sweeps")
 		seed      = flag.Int64("seed", 1, "seed")
-		workers   = flag.Int("workers", 1, "parallel Gibbs workers")
 		topN      = flag.Int("top", 8, "words shown per topic")
 		user      = flag.String("user", "", "also print this user's profile in detail")
 	)
@@ -65,7 +64,7 @@ func main() {
 		len(corpus.Docs), corpus.V(), corpus.U(), corpus.TotalWords())
 
 	upm := topicmodel.TrainUPM(corpus, topicmodel.UPMConfig{
-		K: *k, Iterations: *iters, Seed: *seed, Workers: *workers,
+		K: *k, Iterations: *iters, Seed: *seed,
 		HyperRounds: 2, HyperIters: 15,
 	})
 

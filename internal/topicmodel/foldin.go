@@ -93,9 +93,11 @@ func (m *UPM) FoldIn(userID string, sessions []Session, iterations int, seed int
 	// anchoring first keeps the fold-in in the trained topic space.
 	z := make([]int, len(clean))
 	logw := make([]float64, m.cfg.K)
+	lbeta := make([]float64, m.cfg.K)
+	m.logBetaTau(lbeta)
 	for s, sess := range clean {
 		for k := 0; k < m.cfg.K; k++ {
-			logw[k] = m.sessionLogWeight(d, k, sess)
+			logw[k] = m.sessionLogWeight(d, k, sess, lbeta[k])
 		}
 		best := 0
 		for k := 1; k < m.cfg.K; k++ {
@@ -111,7 +113,7 @@ func (m *UPM) FoldIn(userID string, sessions []Session, iterations int, seed int
 			old := z[s]
 			m.addSession(d, old, sess, -1)
 			for k := 0; k < m.cfg.K; k++ {
-				logw[k] = m.sessionLogWeight(d, k, sess)
+				logw[k] = m.sessionLogWeight(d, k, sess, lbeta[k])
 			}
 			k := numeric.SampleLogCategorical(rng, logw)
 			z[s] = k

@@ -3,6 +3,7 @@ package topicmodel
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -72,14 +73,6 @@ type UPMConfig struct {
 	HyperIters int
 	// Seed drives the sampler.
 	Seed int64
-	// Workers parallelizes the Gibbs sweep across user documents
-	// (default 1 = sequential). Unlike LDA — whose topic–word counts
-	// are global, making parallel Gibbs approximate (the paper's [31])
-	// — every UPM count structure is per-document, so the per-sweep
-	// document loop is EXACTLY parallel given the sweep's fixed
-	// hyperparameters. Results are identical for any worker count:
-	// every document samples from its own deterministic RNG stream.
-	Workers int
 }
 
 func (c UPMConfig) withDefaults() UPMConfig {
@@ -106,16 +99,16 @@ func (c UPMConfig) withDefaults() UPMConfig {
 	if c.HyperIters <= 0 {
 		c.HyperIters = 15
 	}
-	if c.Workers <= 0 {
-		c.Workers = 1
-	}
 	return c
 }
 
-// TrainUPM fits the UPM on the corpus. Sampling parallelizes across
-// documents when cfg.Workers > 1 with bit-identical results (every
-// document owns an independent RNG stream, and all Gibbs state is
-// per-document; hyperparameters are only updated at sweep barriers).
+// TrainUPM fits the UPM on the corpus, sweeping documents on one
+// goroutine per core (runtime.GOMAXPROCS). Unlike LDA — whose
+// topic–word counts are global, making parallel Gibbs approximate (the
+// paper's [31]) — every UPM count is per-document and hyperparameters
+// only change at sweep barriers, so the document loop is EXACTLY
+// parallel: every document owns an independent RNG stream, and the
+// trained model is bit-identical at any core count.
 func TrainUPM(c *Corpus, cfg UPMConfig) *UPM {
 	cfg = cfg.withDefaults()
 	m := newUPM(c, cfg)
@@ -147,12 +140,13 @@ func TrainUPM(c *Corpus, cfg UPMConfig) *UPM {
 		hyperAt[cfg.Iterations*r/cfg.HyperRounds-1] = true
 	}
 
+	lbeta := make([]float64, cfg.K)
 	sweepDoc := func(d int, logw []float64) {
 		for s, sess := range flat[d] {
 			old := z[d][s]
 			m.addSession(d, old, sess, -1)
 			for k := 0; k < cfg.K; k++ {
-				logw[k] = m.sessionLogWeight(d, k, sess)
+				logw[k] = m.sessionLogWeight(d, k, sess, lbeta[k])
 			}
 			k := numeric.SampleLogCategorical(docRngs[d], logw)
 			z[d][s] = k
@@ -161,36 +155,49 @@ func TrainUPM(c *Corpus, cfg UPMConfig) *UPM {
 	}
 
 	for it := 0; it < cfg.Iterations; it++ {
-		if cfg.Workers == 1 || len(c.Docs) < 2*cfg.Workers {
+		m.logBetaTau(lbeta)
+		parallelFor(len(c.Docs), func() func(d int) {
 			logw := make([]float64, cfg.K)
-			for d := range c.Docs {
-				sweepDoc(d, logw)
-			}
-		} else {
-			var wg sync.WaitGroup
-			next := int64(-1)
-			for w := 0; w < cfg.Workers; w++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					logw := make([]float64, cfg.K)
-					for {
-						d := int(atomic.AddInt64(&next, 1))
-						if d >= len(c.Docs) {
-							return
-						}
-						sweepDoc(d, logw)
-					}
-				}()
-			}
-			wg.Wait()
-		}
+			return func(d int) { sweepDoc(d, logw) }
+		})
 		m.refitTau(c, z)
 		if hyperAt[it] {
 			m.optimizeHyperparameters()
 		}
 	}
 	return m
+}
+
+// parallelFor calls body(i) for every i in [0, n) on one goroutine per
+// core (at most n), handing out indices one at a time; each goroutine
+// gets its own body from newBody, so per-goroutine scratch lives in its
+// closure. With one core or one index it runs on the calling goroutine.
+func parallelFor(n int, newBody func() func(i int)) {
+	workers := min(runtime.GOMAXPROCS(0), n)
+	if workers <= 1 {
+		body := newBody()
+		for i := 0; i < n; i++ {
+			body(i)
+		}
+		return
+	}
+	var wg sync.WaitGroup
+	next := int64(-1)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			body := newBody()
+			for {
+				i := int(atomic.AddInt64(&next, 1))
+				if i >= n {
+					return
+				}
+				body(i)
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func newUPM(c *Corpus, cfg UPMConfig) *UPM {
@@ -244,14 +251,20 @@ func newUPM(c *Corpus, cfg UPMConfig) *UPM {
 // session equal it — the count the sequential Dirichlet-multinomial of
 // Eq. 23 adds to a token's own-topic count when that position is
 // reached.
+//
+// logT and log1mT are log t and log(1−t) of the session's timestamp,
+// clamped as numeric.BetaLogPDF clamps it: t never changes, so the Beta
+// density's logarithms are taken once, not once per topic and sweep.
 type flatSession struct {
 	words, urls         []int
 	wordsSeen, urlsSeen []float64
-	time                float64
+	logT, log1mT        float64
 }
 
 func flattenSession(s Session) flatSession {
-	fs := flatSession{words: s.Words(), urls: s.URLs(), time: s.Time}
+	const eps = 1e-9
+	t := min(max(s.Time, eps), 1-eps)
+	fs := flatSession{words: s.Words(), urls: s.URLs(), logT: math.Log(t), log1mT: math.Log(1 - t)}
 	fs.wordsSeen = earlierEqual(fs.words)
 	fs.urlsSeen = earlierEqual(fs.urls)
 	return fs
@@ -294,8 +307,9 @@ func (m *UPM) addSession(d, k int, sess flatSession, delta float64) {
 // assigning the session to topic k: the doc-mixture factor, the
 // sequential Dirichlet-multinomial probability of the session's words
 // under φ_kd (prior β_k), likewise for URLs under Ω_kd (prior δ_k), and
-// the Beta timestamp density.
-func (m *UPM) sessionLogWeight(d, k int, sess flatSession) float64 {
+// the Beta timestamp density. lbeta is log B(τ_k), from logBetaTau;
+// the density is numeric.BetaLogPDF's expression, term for term.
+func (m *UPM) sessionLogWeight(d, k int, sess flatSession, lbeta float64) float64 {
 	lw := math.Log(m.ndk[d][k] + m.alpha[k])
 	wSum := m.nkwdSum[d][k]
 	for i, w := range sess.words {
@@ -307,8 +321,16 @@ func (m *UPM) sessionLogWeight(d, k int, sess flatSession) float64 {
 		lw += math.Log((m.nkud[d][k][u] + sess.urlsSeen[i] + m.deltaPrior[k][u]) / (uSum + m.deltaSum[k]))
 		uSum++
 	}
-	lw += numeric.BetaLogPDF(sess.time, m.tau[k][0], m.tau[k][1])
+	lw += (m.tau[k][0]-1)*sess.logT + (m.tau[k][1]-1)*sess.log1mT - lbeta
 	return lw
+}
+
+// logBetaTau fills lbeta[k] with log B(τ_k), the normalizer of topic
+// k's timestamp density, which only changes when τ is refitted.
+func (m *UPM) logBetaTau(lbeta []float64) {
+	for k := range lbeta {
+		lbeta[k] = numeric.LogBeta(m.tau[k][0], m.tau[k][1])
+	}
 }
 
 // refitTau re-estimates τ_k (Eqs. 28–29) from the timestamps of

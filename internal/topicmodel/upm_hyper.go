@@ -2,6 +2,7 @@ package topicmodel
 
 import (
 	"math"
+	"sort"
 
 	"repro/internal/numeric"
 )
@@ -37,39 +38,51 @@ func (m *UPM) optimizeHyperparameters() {
 	}
 
 	// --- β_k (Eq. 26) and δ_k (Eq. 27): per-topic priors of the
-	// per-document emission Dirichlets.
-	for k := 0; k < m.cfg.K; k++ {
-		m.optimizeEmissionPrior(opt, k, true)
-		if m.u > 0 {
-			m.optimizeEmissionPrior(opt, k, false)
+	// per-document emission Dirichlets. A topic's fits read the counts
+	// and write only that topic's priors and sums, so topics fit in
+	// parallel with the same result as in sequence.
+	parallelFor(m.cfg.K, func() func(k int) {
+		return func(k int) {
+			m.optimizeEmissionPrior(opt, m.betaPrior[k], m.nkwd, m.nkwdSum, k)
+			if m.u > 0 {
+				m.optimizeEmissionPrior(opt, m.deltaPrior[k], m.nkud, m.nkudSum, k)
+			}
+			m.betaSum[k] = numeric.Sum(m.betaPrior[k])
+			m.deltaSum[k] = numeric.Sum(m.deltaPrior[k])
 		}
-		m.betaSum[k] = numeric.Sum(m.betaPrior[k])
-		m.deltaSum[k] = numeric.Sum(m.deltaPrior[k])
-	}
+	})
+}
+
+// countRow is one document's topic-k emission counts with the ids in
+// ascending order, so the objective sums in an order that does not
+// depend on map iteration.
+type countRow struct {
+	ids  []int
+	vals []float64
+	sum  float64
 }
 
 // optimizeEmissionPrior maximizes Σ_d [ log DirMult(C_k·d | prior) ] in
-// the prior vector for topic k; words when isBeta, URLs otherwise.
-func (m *UPM) optimizeEmissionPrior(opt numeric.LBFGS, k int, isBeta bool) {
-	var prior []float64
-	var counts []map[int]float64
-	var sums []float64
-	if isBeta {
-		prior = m.betaPrior[k]
-		counts = make([]map[int]float64, len(m.nkwd))
-		sums = make([]float64, len(m.nkwd))
-		for d := range m.nkwd {
-			counts[d] = m.nkwd[d][k]
-			sums[d] = m.nkwdSum[d][k]
+// topic k's prior vector, in place; counts and sums are the per-(d, k)
+// word or URL counts and their totals.
+func (m *UPM) optimizeEmissionPrior(opt numeric.LBFGS, prior []float64, counts [][]map[int]float64, sums [][]float64, k int) {
+	// Documents with no tokens on topic k contribute Γ-ratios that
+	// cancel, so they are left out.
+	var rows []countRow
+	for d := range counts {
+		if sums[d][k] == 0 {
+			continue
 		}
-	} else {
-		prior = m.deltaPrior[k]
-		counts = make([]map[int]float64, len(m.nkud))
-		sums = make([]float64, len(m.nkud))
-		for d := range m.nkud {
-			counts[d] = m.nkud[d][k]
-			sums[d] = m.nkudSum[d][k]
+		c := counts[d][k]
+		r := countRow{ids: make([]int, 0, len(c)), vals: make([]float64, len(c)), sum: sums[d][k]}
+		for w := range c {
+			r.ids = append(r.ids, w)
 		}
+		sort.Ints(r.ids)
+		for i, w := range r.ids {
+			r.vals[i] = c[w]
+		}
+		rows = append(rows, r)
 	}
 
 	// Gamma(a0, b0) prior on every coordinate (MAP instead of bare MLE):
@@ -90,13 +103,11 @@ func (m *UPM) optimizeEmissionPrior(opt numeric.LBFGS, k int, isBeta bool) {
 		// Gradient terms that touch every coordinate are accumulated
 		// once per document; per-word terms only touch observed words.
 		commonGrad := 0.0
-		for d := range counts {
-			if sums[d] == 0 {
-				continue // document contributes Γ-ratios that cancel
-			}
-			v += lgSumP - numeric.Lgamma(sumP+sums[d])
-			commonGrad += digSumP - numeric.Digamma(sumP+sums[d])
-			for w, c := range counts[d] {
+		for _, r := range rows {
+			v += lgSumP - numeric.Lgamma(sumP+r.sum)
+			commonGrad += digSumP - numeric.Digamma(sumP+r.sum)
+			for i, w := range r.ids {
+				c := r.vals[i]
 				v += numeric.Lgamma(p[w]+c) - numeric.Lgamma(p[w])
 				grad[w] += numeric.Digamma(p[w]+c) - numeric.Digamma(p[w])
 			}

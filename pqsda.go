@@ -91,12 +91,6 @@ type Config struct {
 	TrainingIterations int
 	// Seed drives every stochastic component (sampler initialization).
 	Seed int64
-	// Workers parallelizes UPM training across user documents (0/1 =
-	// sequential; the trained model is bit-identical at any worker
-	// count). It is a training-time knob only: at serving time every
-	// request runs its kernels on one goroutine and the unit of
-	// parallelism is the request.
-	Workers int
 	// DiversificationOnly skips user profiling: Suggest returns the
 	// diversified ranking unchanged (the intermediate system of the
 	// paper's Section VI-B).
@@ -134,7 +128,6 @@ func NewEngine(l *Log, cfg Config) (*Engine, error) {
 			K:          cfg.Topics,
 			Iterations: cfg.TrainingIterations,
 			Seed:       cfg.Seed,
-			Workers:    cfg.Workers,
 		},
 		SkipPersonalization: cfg.DiversificationOnly,
 	}

@@ -3,6 +3,7 @@ package pqsda
 import (
 	"bytes"
 	"context"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -90,23 +91,22 @@ func TestFacadeOneShotSuggest(t *testing.T) {
 	}
 }
 
-// TestFacadeWorkersDeterministic pins the -workers contract end to end:
-// UPM training is bit-identical at any worker count, so two engines
-// differing only in Workers must suggest exactly the same queries in
-// the same order.
-func TestFacadeWorkersDeterministic(t *testing.T) {
+// TestFacadeGOMAXPROCSDeterministic pins the training contract end to
+// end: UPM training runs on every core and is bit-identical at any core
+// count, so engines built under GOMAXPROCS 1 and 4 must suggest exactly
+// the same queries in the same order.
+func TestFacadeGOMAXPROCSDeterministic(t *testing.T) {
 	w := facadeWorld(t)
-	base := Config{CompactBudget: 60, Topics: 5, TrainingIterations: 20}
-	seq, err := NewEngine(w.Log, base)
-	if err != nil {
-		t.Fatal(err)
+	cfg := Config{CompactBudget: 60, Topics: 5, TrainingIterations: 20}
+	build := func(procs int) *Engine {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		e, err := NewEngine(w.Log, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return e
 	}
-	par := base
-	par.Workers = 4
-	parE, err := NewEngine(w.Log, par)
-	if err != nil {
-		t.Fatal(err)
-	}
+	seq, par := build(1), build(4)
 	best, bestN := "", 0
 	for q, n := range w.Log.QueryFrequency() {
 		if n > bestN {
@@ -119,7 +119,7 @@ func TestFacadeWorkersDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := parE.Do(context.Background(), SuggestRequest{User: uid, Query: best, At: now, K: 8})
+		b, err := par.Do(context.Background(), SuggestRequest{User: uid, Query: best, At: now, K: 8})
 		if err != nil {
 			t.Fatal(err)
 		}
