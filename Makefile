@@ -33,8 +33,12 @@ fmt-check:
 		echo "gofmt needed on:"; echo "$$unformatted"; exit 1; \
 	fi
 
+# The flight recorder's seqlock also runs alone, three times over:
+# inside ./... the packages run in parallel, and that interleaving can
+# hide a race in it.
 race:
 	$(GO) test -race ./...
+	$(GO) test -race -count=3 ./internal/slo/
 
 # Order- and repetition-dependence check over the packages of the
 # suggestion pipeline: 20 runs each, test order shuffled. A test that

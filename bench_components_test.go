@@ -7,28 +7,61 @@ package pqsda
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"testing"
 
+	"repro/internal/bipartite"
 	"repro/internal/core"
 	"repro/internal/profile"
+	"repro/internal/querylog"
 	"repro/internal/server"
+	"repro/internal/synth"
 	"repro/internal/topicmodel"
 )
 
-// BenchmarkFoldIn measures folding one new user (25 sessions) into a
-// trained UPM without retraining.
+// BenchmarkFoldIn measures LearnUser — folding one user's 25 sessions
+// into a clone of the trained UPM and publishing it — on worlds of 150
+// and 600 users, so a per-learn cost that grows with the user count
+// shows as the gap between the two.
 func BenchmarkFoldIn(b *testing.B) {
-	e, _ := componentFixture(b)
-	donor := e.Log().Users()[0]
-	entries := e.Log().ByUser(donor)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := e.LearnUser("bench-user", entries); err != nil {
-			b.Fatal(err)
-		}
+	for _, users := range []int{150, 600} {
+		b.Run(fmt.Sprintf("users=%d", users), func(b *testing.B) {
+			e := learnFixture(b, users)
+			donor := e.Log().Users()[0]
+			entries := e.Log().ByUser(donor)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := e.LearnUser("bench-user", entries); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
+}
+
+var learnFixtures sync.Map // users -> *core.Engine
+
+// learnFixture is componentFixture's world and training at a given
+// user count, built once per count.
+func learnFixture(b *testing.B, users int) *core.Engine {
+	if e, ok := learnFixtures.Load(users); ok {
+		return e.(*core.Engine)
+	}
+	w := synth.Generate(synth.Config{Seed: 5, NumUsers: users, SessionsPerUser: 25})
+	clean, _ := querylog.Clean(w.Log, querylog.CleanerConfig{})
+	e, err := core.NewEngine(clean, core.Config{
+		Weighting: bipartite.CFIQF,
+		Compact:   bipartite.CompactConfig{Budget: 150},
+		UPM:       topicmodel.UPMConfig{K: 8, Iterations: 30, Seed: 5, HyperRounds: 1, HyperIters: 5},
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	learnFixtures.Store(users, e)
+	return e
 }
 
 // BenchmarkEngineSave measures engine serialization.

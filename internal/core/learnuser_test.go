@@ -1,7 +1,10 @@
 package core
 
 import (
+	"bytes"
 	"context"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -70,5 +73,68 @@ func TestLearnUserOverridesUserID(t *testing.T) {
 	}
 	if e.Profiles().Theta("the-user") == nil {
 		t.Fatal("profile registered under wrong ID")
+	}
+}
+
+// TestLearnUserOnLoadedImage learns a returning and a new user on
+// engines whose UPM documents are windows on a loaded image, then
+// serves. snapwire maps an image file PROT_READ, so a fold-in that
+// wrote into the image would fault; the heap-loaded engine's buffer is
+// compared byte for byte after the learns. Both must then serve θ and
+// personalized lists bit for bit equal to the log-built engine that
+// learned the same entries.
+func TestLearnUserOnLoadedImage(t *testing.T) {
+	e, users, queries := workloadInputs(t)
+	img, err := e.WireImage()
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "engine.pqsw")
+	if err := os.WriteFile(path, img, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	mapped, err := LoadEngineFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("image mapped read-only: %v", mapped.LoadedImage().Mapped)
+	heap, err := LoadEngine(bytes.NewReader(img))
+	if err != nil {
+		t.Fatal(err)
+	}
+	heapImg, err := heap.WireImage() // the buffer the heap engine aliases
+	if err != nil {
+		t.Fatal(err)
+	}
+	pristine := bytes.Clone(heapImg)
+
+	entries := testWorld(t).Log.ByUser(users[3])
+	learned := []string{users[0], "loaded-newcomer"}
+	for _, x := range []*Engine{e, mapped, heap} {
+		for _, u := range learned {
+			if err := x.LearnUser(u, entries); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if !bytes.Equal(heapImg, pristine) {
+		t.Fatal("LearnUser wrote into the loaded image")
+	}
+
+	served := append(append([]string(nil), learned...), users...)
+	want := runWorkload(t, e, served, queries)
+	for name, x := range map[string]*Engine{"mapped": mapped, "heap": heap} {
+		for _, u := range served {
+			a, b := e.Profiles().Theta(u), x.Profiles().Theta(u)
+			if len(a) == 0 || len(a) != len(b) {
+				t.Fatalf("%s: θ(%s) has %d topics, log-built %d", name, u, len(b), len(a))
+			}
+			for k := range a {
+				if a[k] != b[k] {
+					t.Fatalf("%s: θ(%s)[%d] = %v, log-built %v", name, u, k, b[k], a[k])
+				}
+			}
+		}
+		assertWorkloadEqual(t, name, want, runWorkload(t, x, served, queries))
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"hash/fnv"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -161,6 +162,24 @@ func TestWireImageCachedPerSnapshot(t *testing.T) {
 	}
 	if &a[0] != &b[0] {
 		t.Fatal("unchanged snapshot re-encoded")
+	}
+}
+
+// TestWireImageGolden pins the image a trained engine encodes to, UPM
+// sections included, to the bytes the map-backed UPM wrote: the count
+// layout may change in memory, never on the wire.
+func TestWireImageGolden(t *testing.T) {
+	const want uint64 = 0xabaa0d17c1d4d7a5
+	e := testEngine(t, testWorld(t), false)
+	e.snap.Load().Stats.BuiltAt = time.Unix(0, 0) // the image's one wall-clock field
+	img, err := e.WireImage()
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := fnv.New64a()
+	h.Write(img)
+	if got := h.Sum64(); got != want {
+		t.Fatalf("image of %d bytes hashes to %#x, want %#x", len(img), got, want)
 	}
 }
 

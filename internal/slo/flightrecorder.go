@@ -10,6 +10,7 @@ import (
 	"strconv"
 	"sync/atomic"
 	"time"
+	"unsafe"
 )
 
 // The flight recorder is the "what did the process look like just
@@ -21,12 +22,15 @@ import (
 // enters fast burn, so the dump captures the lead-up rather than the
 // aftermath.
 //
-// Recording must cost nothing on the hot path: a slot is claimed with
-// one atomic add, the event is copied in under a per-slot seqlock (two
-// more atomic adds), and the event struct is all fixed-size fields —
-// IDs and the strategy name are inlined byte arrays, not strings — so
-// Record performs zero heap allocations (BenchmarkFlightRecorderEmit
-// guards this in CI).
+// Recording must cost nothing on the hot path: a slot is picked with
+// one atomic add and claimed under a per-slot seqlock (a CAS and a
+// store), and the event struct is all fixed-size fields — IDs and the
+// strategy name are inlined byte arrays, not strings — so Record
+// performs zero heap allocations (BenchmarkFlightRecorderEmit guards
+// this in CI). The flat layout also lets the event be copied in and
+// out one machine word at a time with atomic loads and stores, so a
+// reader racing a writer sees a torn copy it discards, never a data
+// race.
 
 // Outcome classifies one request's disposition.
 type Outcome uint8
@@ -140,12 +144,36 @@ func (e *WideEvent) RequestIDString() string { return idString(e.RequestID[:]) }
 func (e *WideEvent) TraceIDString() string   { return idString(e.TraceID[:]) }
 func (e *WideEvent) StrategyString() string  { return idString(e.Strategy[:]) }
 
+// eventWords is the size of a WideEvent in 8-byte words. The array
+// length below fails to compile if the struct stops being a whole
+// number of words.
+const eventWords = unsafe.Sizeof(WideEvent{}) / 8
+
+var _ [unsafe.Sizeof(WideEvent{}) % 8]struct{} = [0]struct{}{}
+
 // slot is one ring entry under a seqlock: version is odd while a writer
 // is copying, and bumps by 2 per publication, so a reader that sees the
 // same even version before and after its copy has a consistent event.
+// The event is stored as words, each written and read atomically.
 type slot struct {
 	version atomic.Uint64
-	ev      WideEvent
+	words   [eventWords]atomic.Uint64
+}
+
+// store copies ev into the slot word by word.
+func (s *slot) store(ev *WideEvent) {
+	src := (*[eventWords]uint64)(unsafe.Pointer(ev))
+	for i := range s.words {
+		s.words[i].Store(src[i])
+	}
+}
+
+// load copies the slot into ev word by word.
+func (s *slot) load(ev *WideEvent) {
+	dst := (*[eventWords]uint64)(unsafe.Pointer(ev))
+	for i := range s.words {
+		dst[i] = s.words[i].Load()
+	}
 }
 
 // FlightRecorder is the fixed-size wide-event ring.
@@ -183,7 +211,10 @@ func (r *FlightRecorder) Recorded() uint64 { return r.seq.Load() }
 func (r *FlightRecorder) Dumps() int64 { return r.dumps.Load() }
 
 // Record stores one event, overwriting the oldest slot. ev.Seq is
-// assigned here. Zero heap allocations; safe for concurrent use.
+// assigned here. Zero heap allocations; safe for concurrent use. When
+// the ring wraps onto a slot another Record is still writing, the
+// event is dropped rather than waited for: the claim is a CAS of the
+// slot's version from even to odd.
 func (r *FlightRecorder) Record(ev *WideEvent) {
 	if r == nil {
 		return
@@ -191,9 +222,12 @@ func (r *FlightRecorder) Record(ev *WideEvent) {
 	n := r.seq.Add(1)
 	s := &r.slots[int((n-1)%uint64(len(r.slots)))]
 	ev.Seq = n
-	s.version.Add(1) // odd: write in progress
-	s.ev = *ev
-	s.version.Add(1) // even: published
+	v := s.version.Load()
+	if v%2 == 1 || !s.version.CompareAndSwap(v, v+1) {
+		return // another writer holds the slot
+	}
+	s.store(ev)
+	s.version.Store(v + 2) // even: published
 }
 
 // Events returns a consistent copy of the ring's contents, oldest
@@ -212,7 +246,8 @@ func (r *FlightRecorder) Events() []WideEvent {
 			if v1 == 0 || v1%2 == 1 {
 				break // never written, or a writer is mid-copy
 			}
-			ev := s.ev
+			var ev WideEvent
+			s.load(&ev)
 			if s.version.Load() == v1 {
 				out = append(out, ev)
 				break

@@ -30,9 +30,11 @@
 // buffer must stay mapped for the life of the process once adopted —
 // strings handed out by the snapshot alias it. Mutation of a loaded
 // snapshot is impossible by construction: every wrapper type
-// (arena.Strings, flat Index/SymbolTable/UPM, sparse.Matrix) exposes
-// read-only accessors, and the mutation paths that do exist
-// (Intern, Clone, FoldIn) thaw into fresh heap state first.
+// (arena.Strings, flat Index/SymbolTable, sparse.Matrix) exposes
+// read-only accessors, and Intern thaws into fresh heap state first.
+// A loaded UPM's documents are windows on the image; Clone shares them
+// and FoldIn installs a new heap document in place of the one it
+// replaces, so nothing writes a window.
 package snapwire
 
 import (

@@ -2,7 +2,8 @@ package topicmodel
 
 import (
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 
 	"repro/internal/arena"
 )
@@ -47,135 +48,53 @@ type UPMState struct {
 	DocTable   []uint32
 }
 
-// upmFlat is the arena-backed serving form of a UPM: every array may
-// alias a read-only (possibly mmap'd) snapshot buffer, so nothing here
-// is ever written. Mutation paths (Clone, FoldIn) thaw into the
-// map-backed form first.
-type upmFlat struct {
-	k, v, u, d int
-
-	alpha, betaPrior, deltaPrior, betaSum, deltaSum []float64
-	tau                                             []float64
-	ndk, ndkSum, nkwdSum, nkudSum                   []float64
-
-	nkwdPtr, nkwdIdx []int64
-	nkwdVal          []float64
-	nkudPtr, nkudIdx []int64
-	nkudVal          []float64
-
-	docs *arena.Strings
-}
-
-// csrAt returns the count stored at column j of CSR row r (0 when
-// absent). Column ids are sorted, so this is a binary search — the flat
-// replacement for the map lookup `nkwd[d][k][w]`.
-func csrAt(ptr, idx []int64, val []float64, r, j int) float64 {
-	lo, hi := ptr[r], ptr[r+1]
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if idx[mid] < int64(j) {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < ptr[r+1] && idx[lo] == int64(j) {
-		return val[lo]
-	}
-	return 0
-}
-
-// State flattens the model's serving state into a UPMState. Works on
-// either backing; for an already-flat model the returned slices alias
-// the model's (read-only) arrays.
+// State lays the model out as a UPMState: the hyperparameter arrays
+// are the model's own (nothing writes them after training), and the
+// documents' counts are concatenated in document order.
 func (m *UPM) State() *UPMState {
-	if f := m.flat; f != nil {
-		return &UPMState{
-			Cfg: m.cfg, V: f.v, U: f.u, D: f.d,
-			Alpha: f.alpha, BetaPrior: f.betaPrior, DeltaPrior: f.deltaPrior,
-			BetaSum: f.betaSum, DeltaSum: f.deltaSum, Tau: f.tau,
-			Ndk: f.ndk, NdkSum: f.ndkSum, NkwdSum: f.nkwdSum, NkudSum: f.nkudSum,
-			NkwdPtr: f.nkwdPtr, NkwdIdx: f.nkwdIdx, NkwdVal: f.nkwdVal,
-			NkudPtr: f.nkudPtr, NkudIdx: f.nkudIdx, NkudVal: f.nkudVal,
-			DocOffsets: f.docs.Offsets(), DocBlob: f.docs.Blob(), DocTable: f.docs.Table(),
-		}
-	}
-	k, d := m.cfg.K, len(m.ndk)
+	k, d := m.cfg.K, len(m.docs)
 	st := &UPMState{
 		Cfg: m.cfg, V: m.v, U: m.u, D: d,
-		Alpha:      append([]float64(nil), m.alpha...),
-		BetaSum:    append([]float64(nil), m.betaSum...),
-		DeltaSum:   append([]float64(nil), m.deltaSum...),
-		BetaPrior:  make([]float64, k*m.v),
-		DeltaPrior: make([]float64, k*m.u),
-		Tau:        make([]float64, 2*k),
-		Ndk:        make([]float64, d*k),
-		NdkSum:     append([]float64(nil), m.ndkSum...),
-		NkwdSum:    make([]float64, d*k),
-		NkudSum:    make([]float64, d*k),
+		Alpha: m.alpha, BetaPrior: m.betaPrior, DeltaPrior: m.deltaPrior,
+		BetaSum: m.betaSum, DeltaSum: m.deltaSum, Tau: m.tau,
+		Ndk:     make([]float64, 0, d*k),
+		NdkSum:  make([]float64, 0, d),
+		NkwdSum: make([]float64, 0, d*k),
+		NkudSum: make([]float64, 0, d*k),
+		NkwdPtr: make([]int64, 1, d*k+1),
+		NkudPtr: make([]int64, 1, d*k+1),
 	}
-	for kk := 0; kk < k; kk++ {
-		copy(st.BetaPrior[kk*m.v:], m.betaPrior[kk])
-		copy(st.DeltaPrior[kk*m.u:], m.deltaPrior[kk])
-		st.Tau[2*kk], st.Tau[2*kk+1] = m.tau[kk][0], m.tau[kk][1]
-	}
-	for dd := 0; dd < d; dd++ {
-		copy(st.Ndk[dd*k:], m.ndk[dd])
-		copy(st.NkwdSum[dd*k:], m.nkwdSum[dd])
-		copy(st.NkudSum[dd*k:], m.nkudSum[dd])
-	}
-	st.NkwdPtr, st.NkwdIdx, st.NkwdVal = flattenCounts(m.nkwd, k)
-	st.NkudPtr, st.NkudIdx, st.NkudVal = flattenCounts(m.nkud, k)
-
 	names := make([]string, d)
-	for id, dd := range m.docID {
-		if dd >= 0 && dd < d {
-			names[dd] = id
-		}
+	for i, doc := range m.docs {
+		names[i] = doc.user
+		st.Ndk = append(st.Ndk, doc.ndk...)
+		st.NdkSum = append(st.NdkSum, doc.ndkSum)
+		st.NkwdSum = append(st.NkwdSum, doc.nkwdSum...)
+		st.NkudSum = append(st.NkudSum, doc.nkudSum...)
+		st.NkwdPtr, st.NkwdIdx, st.NkwdVal = doc.words.appendTo(st.NkwdPtr, st.NkwdIdx, st.NkwdVal)
+		st.NkudPtr, st.NkudIdx, st.NkudVal = doc.urls.appendTo(st.NkudPtr, st.NkudIdx, st.NkudVal)
 	}
 	st.DocOffsets, st.DocBlob, st.DocTable = arena.BuildStrings(names)
 	return st
 }
 
-// flattenCounts converts the per-(d, k) sparse count maps into one CSR
-// with rows r = d*K + k and sorted column ids.
-func flattenCounts(counts [][]map[int]float64, k int) (ptr, idx []int64, val []float64) {
-	rows := len(counts) * k
-	ptr = make([]int64, rows+1)
-	nnz := 0
-	for _, doc := range counts {
-		for _, mm := range doc {
-			nnz += len(mm)
-		}
-	}
-	idx = make([]int64, 0, nnz)
-	val = make([]float64, 0, nnz)
-	cols := make([]int, 0, 64)
-	r := 0
-	for _, doc := range counts {
-		for kk := 0; kk < k; kk++ {
-			mm := doc[kk]
-			cols = cols[:0]
-			for j := range mm {
-				cols = append(cols, j)
-			}
-			sort.Ints(cols)
-			for _, j := range cols {
-				idx = append(idx, int64(j))
-				val = append(val, mm[j])
-			}
-			r++
-			ptr[r] = int64(len(idx))
-		}
+// appendTo appends the rows to a CSR whose row pointers are offsets
+// into idx.
+func (c *countRows) appendTo(ptr, idx []int64, val []float64) ([]int64, []int64, []float64) {
+	for k := 0; k+1 < len(c.ptr); k++ {
+		lo, hi := c.ptr[k], c.ptr[k+1]
+		idx = append(idx, c.idx[lo:hi]...)
+		val = append(val, c.val[lo:hi]...)
+		ptr = append(ptr, int64(len(idx)))
 	}
 	return ptr, idx, val
 }
 
-// UPMFromState validates a flat state image and wraps it as an
-// arena-backed UPM. Every structural invariant a hostile buffer could
-// violate is checked here — array lengths, CSR monotonicity and
-// bounds, doc-table shape — so the serving accessors can index without
-// panicking. Values (probabilities, counts) are not sanity-checked;
+// UPMFromState validates a flat state image and wraps it as a UPM that
+// aliases the image's arrays and copies no count. Every structural
+// invariant a hostile buffer could violate is checked here — array
+// lengths, CSR monotonicity and bounds, doc-table shape — so the
+// serving accessors can index without panicking. Values (probabilities, counts) are not sanity-checked;
 // corruption there is caught by the wire format's checksums.
 func UPMFromState(st *UPMState) (*UPM, error) {
 	k := st.Cfg.K
@@ -220,18 +139,32 @@ func UPMFromState(st *UPMState) (*UPM, error) {
 	if docs.Len() != st.D {
 		return nil, fmt.Errorf("topicmodel: flat UPM: doc table has %d names, want %d", docs.Len(), st.D)
 	}
-	return &UPM{
+	// Every document is a window on the image: its row pointers keep
+	// their image offsets into the shared id and count arrays. The
+	// user-ID keys alias the image's strings.
+	m := &UPM{
 		cfg: st.Cfg, v: st.V, u: st.U,
-		flat: &upmFlat{
-			k: k, v: st.V, u: st.U, d: st.D,
-			alpha: st.Alpha, betaPrior: st.BetaPrior, deltaPrior: st.DeltaPrior,
-			betaSum: st.BetaSum, deltaSum: st.DeltaSum, tau: st.Tau,
-			ndk: st.Ndk, ndkSum: st.NdkSum, nkwdSum: st.NkwdSum, nkudSum: st.NkudSum,
-			nkwdPtr: st.NkwdPtr, nkwdIdx: st.NkwdIdx, nkwdVal: st.NkwdVal,
-			nkudPtr: st.NkudPtr, nkudIdx: st.NkudIdx, nkudVal: st.NkudVal,
-			docs: docs,
-		},
-	}, nil
+		alpha: st.Alpha, betaPrior: st.BetaPrior, deltaPrior: st.DeltaPrior,
+		betaSum: st.BetaSum, deltaSum: st.DeltaSum, tau: st.Tau,
+		docs:  make([]*upmDoc, st.D),
+		docID: make(map[string]int, st.D),
+	}
+	backing := make([]upmDoc, st.D)
+	for d := range backing {
+		r := d * k
+		doc := &backing[d]
+		*doc = upmDoc{
+			user: docs.Name(d), ndkSum: st.NdkSum[d],
+			ndk: st.Ndk[r : r+k], nkwdSum: st.NkwdSum[r : r+k], nkudSum: st.NkudSum[r : r+k],
+			words: countRows{ptr: st.NkwdPtr[r : r+k+1], idx: st.NkwdIdx, val: st.NkwdVal},
+			urls:  countRows{ptr: st.NkudPtr[r : r+k+1], idx: st.NkudIdx, val: st.NkudVal},
+		}
+		m.docs[d] = doc
+		if _, dup := m.docID[doc.user]; !dup {
+			m.docID[doc.user] = d
+		}
+	}
+	return m, nil
 }
 
 func checkCSR(what string, ptr, idx []int64, val []float64, rows, cols int) error {
@@ -263,117 +196,14 @@ func checkCSR(what string, ptr, idx []int64, val []float64, rows, cols int) erro
 	return nil
 }
 
-// thaw materializes the mutable map-backed form from the flat arrays,
-// copying every value out of the (possibly mmap'd, read-only) arena.
-// No-op on an already-mutable model.
-func (m *UPM) thaw() {
-	f := m.flat
-	if f == nil {
-		return
-	}
-	k, d := f.k, f.d
-	m.alpha = append([]float64(nil), f.alpha...)
-	m.betaSum = append([]float64(nil), f.betaSum...)
-	m.deltaSum = append([]float64(nil), f.deltaSum...)
-	m.betaPrior = make([][]float64, k)
-	m.deltaPrior = make([][]float64, k)
-	m.tau = make([][2]float64, k)
-	for kk := 0; kk < k; kk++ {
-		m.betaPrior[kk] = append([]float64(nil), f.betaPrior[kk*f.v:(kk+1)*f.v]...)
-		m.deltaPrior[kk] = append([]float64(nil), f.deltaPrior[kk*f.u:(kk+1)*f.u]...)
-		m.tau[kk] = [2]float64{f.tau[2*kk], f.tau[2*kk+1]}
-	}
-	m.ndk = make([][]float64, d)
-	m.ndkSum = append([]float64(nil), f.ndkSum...)
-	m.nkwd = make([][]map[int]float64, d)
-	m.nkwdSum = make([][]float64, d)
-	m.nkud = make([][]map[int]float64, d)
-	m.nkudSum = make([][]float64, d)
-	for dd := 0; dd < d; dd++ {
-		m.ndk[dd] = append([]float64(nil), f.ndk[dd*k:(dd+1)*k]...)
-		m.nkwdSum[dd] = append([]float64(nil), f.nkwdSum[dd*k:(dd+1)*k]...)
-		m.nkudSum[dd] = append([]float64(nil), f.nkudSum[dd*k:(dd+1)*k]...)
-		m.nkwd[dd] = make([]map[int]float64, k)
-		m.nkud[dd] = make([]map[int]float64, k)
-		for kk := 0; kk < k; kk++ {
-			r := dd*k + kk
-			m.nkwd[dd][kk] = thawRow(f.nkwdPtr, f.nkwdIdx, f.nkwdVal, r)
-			m.nkud[dd][kk] = thawRow(f.nkudPtr, f.nkudIdx, f.nkudVal, r)
-		}
-	}
-	m.docID = make(map[string]int, d)
-	for dd := 0; dd < d; dd++ {
-		// Copy the name: thawed models must not alias arena memory.
-		name := f.docs.Name(dd)
-		m.docID[string(append([]byte(nil), name...))] = dd
-	}
-	m.flat = nil
-}
-
-func thawRow(ptr, idx []int64, val []float64, r int) map[int]float64 {
-	mm := make(map[int]float64, ptr[r+1]-ptr[r])
-	for p := ptr[r]; p < ptr[r+1]; p++ {
-		mm[int(idx[p])] = val[p]
-	}
-	return mm
-}
-
-// Clone deep-copies the model: the copy shares no mutable state with
-// the original, so FoldIn on one never races with reads of the other.
-// Cloning an arena-backed model thaws the copy into the mutable form
-// (the original stays flat); the arena itself is never written.
+// Clone returns a model that FoldIn may extend or change without
+// disturbing the original: it copies the document list and the user
+// index, and shares the documents and hyperparameters, which nothing
+// writes once trained or loaded. FoldIn replaces a document, never
+// writes one in place, so a clone costs O(users) pointers, not counts.
 func (m *UPM) Clone() *UPM {
-	out := &UPM{cfg: m.cfg, v: m.v, u: m.u}
-	if m.flat != nil {
-		out.flat = m.flat
-		out.thaw()
-		return out
-	}
-	out.alpha = append([]float64(nil), m.alpha...)
-	out.betaSum = append([]float64(nil), m.betaSum...)
-	out.deltaSum = append([]float64(nil), m.deltaSum...)
-	out.betaPrior = make([][]float64, len(m.betaPrior))
-	for k := range m.betaPrior {
-		out.betaPrior[k] = append([]float64(nil), m.betaPrior[k]...)
-	}
-	out.deltaPrior = make([][]float64, len(m.deltaPrior))
-	for k := range m.deltaPrior {
-		out.deltaPrior[k] = append([]float64(nil), m.deltaPrior[k]...)
-	}
-	out.tau = append([][2]float64(nil), m.tau...)
-	out.ndk = make([][]float64, len(m.ndk))
-	for d := range m.ndk {
-		out.ndk[d] = append([]float64(nil), m.ndk[d]...)
-	}
-	out.ndkSum = append([]float64(nil), m.ndkSum...)
-	out.nkwd = cloneCounts(m.nkwd)
-	out.nkud = cloneCounts(m.nkud)
-	out.nkwdSum = make([][]float64, len(m.nkwdSum))
-	for d := range m.nkwdSum {
-		out.nkwdSum[d] = append([]float64(nil), m.nkwdSum[d]...)
-	}
-	out.nkudSum = make([][]float64, len(m.nkudSum))
-	for d := range m.nkudSum {
-		out.nkudSum[d] = append([]float64(nil), m.nkudSum[d]...)
-	}
-	out.docID = make(map[string]int, len(m.docID))
-	for id, d := range m.docID {
-		out.docID[id] = d
-	}
-	return out
-}
-
-func cloneCounts(counts [][]map[int]float64) [][]map[int]float64 {
-	out := make([][]map[int]float64, len(counts))
-	for d := range counts {
-		out[d] = make([]map[int]float64, len(counts[d]))
-		for k, mm := range counts[d] {
-			cp := make(map[int]float64, len(mm))
-			for j, v := range mm {
-				cp[j] = v
-			}
-			out[d][k] = cp
-		}
-	}
-	return out
+	out := *m
+	out.docs = slices.Clone(m.docs)
+	out.docID = maps.Clone(m.docID)
+	return &out
 }

@@ -95,30 +95,50 @@ func TestUPMFlatStateOfFlatModel(t *testing.T) {
 	assertUPMParity(t, c, fm, fm2)
 }
 
-func TestUPMFlatCloneThaws(t *testing.T) {
+// TestUPMCloneSharesDocuments pins the Clone contract: a clone shares
+// every document and hyperparameter array with the original, and
+// FoldIn on the clone replaces or appends a document in the clone only.
+func TestUPMCloneSharesDocuments(t *testing.T) {
 	c := synthCorpus(t)
 	m := trainedUPM(t, c)
-	fm := flatUPM(t, m)
-	cl := fm.Clone()
-	if cl.flat != nil {
-		t.Fatal("clone of a flat model should be thawed")
-	}
-	assertUPMParity(t, c, fm, cl)
-	// Mutating the clone (fold-in) must not disturb the flat original.
-	doc := c.Docs[0]
-	before := fm.Theta(0)
-	cl.FoldIn(doc.UserID, doc.Sessions, 5, 7)
-	after := fm.Theta(0)
-	for k := range before {
-		if before[k] != after[k] {
-			t.Fatal("FoldIn on clone mutated the flat original")
+	for name, base := range map[string]*UPM{"trained": m, "loaded": flatUPM(t, m)} {
+		cl := base.Clone()
+		assertUPMParity(t, c, base, cl)
+		for d := range base.docs {
+			if cl.docs[d] != base.docs[d] {
+				t.Fatalf("%s: clone copied document %d", name, d)
+			}
+		}
+		if &cl.betaPrior[0] != &base.betaPrior[0] || &cl.alpha[0] != &base.alpha[0] {
+			t.Fatalf("%s: clone copied the hyperparameters", name)
+		}
+		before := base.State()
+		old := base.docs[0]
+		d := cl.FoldIn(c.Docs[0].UserID, c.Docs[2].Sessions, 5, 7)
+		nd := cl.FoldIn("newcomer", c.Docs[3].Sessions, 5, 8)
+		if d != 0 || cl.docs[0] == old || base.docs[0] != old {
+			t.Fatalf("%s: fold-in of an existing user did not replace the clone's document only", name)
+		}
+		if nd != base.NumDocs() || cl.NumDocs() != base.NumDocs()+1 {
+			t.Fatalf("%s: new user at %d, clone has %d docs, original %d", name, nd, cl.NumDocs(), base.NumDocs())
+		}
+		if _, ok := base.DocOf("newcomer"); ok {
+			t.Fatalf("%s: fold-in on the clone registered the user in the original", name)
+		}
+		if stateHash(base.State()) != stateHash(before) {
+			t.Fatalf("%s: fold-in on the clone changed the original", name)
+		}
+		for dd := 1; dd < base.NumDocs(); dd++ {
+			if cl.docs[dd] != base.docs[dd] {
+				t.Fatalf("%s: fold-in replaced untouched document %d", name, dd)
+			}
 		}
 	}
 }
 
 func TestUPMFlatFoldInMatchesMutable(t *testing.T) {
-	// Folding the same sessions into a thawed flat model and into the
-	// original mutable model must give identical profiles.
+	// Folding the same sessions into a clone of the loaded model and of
+	// the trained model must give identical profiles.
 	c := synthCorpus(t)
 	m := trainedUPM(t, c)
 	fm := flatUPM(t, m)

@@ -20,6 +20,8 @@ import (
 // Theta(d), WordProb(d, …) and PredictiveWordProb(d, …) like any
 // trained document, and DocOf(userID) resolves it. Folding in a user
 // ID that already exists replaces that user's document statistics.
+// FoldIn writes the receiver, so a model that is being read is extended
+// through a Clone.
 //
 // iterations is the number of Gibbs sweeps over the new document
 // (default 20 when ≤ 0).
@@ -27,36 +29,20 @@ func (m *UPM) FoldIn(userID string, sessions []Session, iterations int, seed int
 	if iterations <= 0 {
 		iterations = 20
 	}
-	// Fold-in mutates per-document counts: an arena-backed (read-only)
-	// model must thaw into the mutable form first. The engine only ever
-	// folds into clones, so serving snapshots stay flat.
-	m.thaw()
 	rng := rand.New(rand.NewSource(seed))
 
+	// The fold-in samples into a new document and installs it in place
+	// of the user's old one (or after the trained ones): documents the
+	// model shares with its clone, or aliases from an image, are never
+	// written.
+	doc := newDoc(userID, m.cfg.K)
 	d, exists := m.docID[userID]
-	if !exists {
-		d = len(m.ndk)
-		m.docID[userID] = d
-		m.ndk = append(m.ndk, make([]float64, m.cfg.K))
-		m.ndkSum = append(m.ndkSum, 0)
-		m.nkwd = append(m.nkwd, make([]map[int]float64, m.cfg.K))
-		m.nkwdSum = append(m.nkwdSum, make([]float64, m.cfg.K))
-		m.nkud = append(m.nkud, make([]map[int]float64, m.cfg.K))
-		m.nkudSum = append(m.nkudSum, make([]float64, m.cfg.K))
-		for k := 0; k < m.cfg.K; k++ {
-			m.nkwd[d][k] = make(map[int]float64)
-			m.nkud[d][k] = make(map[int]float64)
-		}
+	if exists {
+		m.docs[d] = doc
 	} else {
-		// Replace: clear the old statistics.
-		for k := 0; k < m.cfg.K; k++ {
-			m.ndk[d][k] = 0
-			m.nkwd[d][k] = make(map[int]float64)
-			m.nkwdSum[d][k] = 0
-			m.nkud[d][k] = make(map[int]float64)
-			m.nkudSum[d][k] = 0
-		}
-		m.ndkSum[d] = 0
+		d = len(m.docs)
+		m.docID[userID] = d
+		m.docs = append(m.docs, doc)
 	}
 
 	// Drop tokens outside the trained vocabularies: the fold-in cannot
@@ -95,9 +81,10 @@ func (m *UPM) FoldIn(userID string, sessions []Session, iterations int, seed int
 	logw := make([]float64, m.cfg.K)
 	lbeta := make([]float64, m.cfg.K)
 	m.logBetaTau(lbeta)
-	for s, sess := range clean {
+	for s := range clean {
+		sess := &clean[s]
 		for k := 0; k < m.cfg.K; k++ {
-			logw[k] = m.sessionLogWeight(d, k, sess, lbeta[k])
+			logw[k] = m.sessionLogWeight(doc, k, sess, lbeta[k])
 		}
 		best := 0
 		for k := 1; k < m.cfg.K; k++ {
@@ -106,18 +93,18 @@ func (m *UPM) FoldIn(userID string, sessions []Session, iterations int, seed int
 			}
 		}
 		z[s] = best
-		m.addSession(d, best, sess, 1)
+		m.addSession(doc, best, sess, 1)
 	}
 	for it := 0; it < iterations; it++ {
-		for s, sess := range clean {
-			old := z[s]
-			m.addSession(d, old, sess, -1)
+		for s := range clean {
+			sess, old := &clean[s], z[s]
+			m.addSession(doc, old, sess, -1)
 			for k := 0; k < m.cfg.K; k++ {
-				logw[k] = m.sessionLogWeight(d, k, sess, lbeta[k])
+				logw[k] = m.sessionLogWeight(doc, k, sess, lbeta[k])
 			}
 			k := numeric.SampleLogCategorical(rng, logw)
 			z[s] = k
-			m.addSession(d, k, sess, 1)
+			m.moveSession(doc, old, k, sess)
 		}
 	}
 	return d

@@ -2,9 +2,11 @@ package topicmodel
 
 import (
 	"encoding/binary"
+	"fmt"
 	"hash/fnv"
 	"math"
 	"runtime"
+	"sync"
 	"testing"
 )
 
@@ -18,13 +20,13 @@ func upmBits(m *UPM) []uint64 {
 		}
 	}
 	add(m.alpha...)
-	for k := range m.betaPrior {
-		add(m.betaPrior[k]...)
-		add(m.deltaPrior[k]...)
-		add(m.tau[k][0], m.tau[k][1])
+	for k := 0; k < m.K(); k++ {
+		add(m.betaPrior[k*m.v : (k+1)*m.v]...)
+		add(m.deltaPrior[k*m.u : (k+1)*m.u]...)
+		add(m.Tau(k))
 	}
-	for d := range m.ndk {
-		add(m.ndk[d]...)
+	for _, doc := range m.docs {
+		add(doc.ndk...)
 	}
 	return out
 }
@@ -101,6 +103,114 @@ func TestFoldInGolden(t *testing.T) {
 		f.FoldIn(c.Docs[1].UserID, c.Docs[2].Sessions, 20, 11)
 		if got := upmHash(f); got != want {
 			t.Errorf("%s: hash %#x, want %#x", name, got, want)
+		}
+	}
+}
+
+// stateHash is the fnv-64a hash of every array of a UPMState, each
+// prefixed by its length, in declaration order.
+func stateHash(st *UPMState) uint64 {
+	h := fnv.New64a()
+	var buf [8]byte
+	put := func(x uint64) {
+		binary.LittleEndian.PutUint64(buf[:], x)
+		h.Write(buf[:])
+	}
+	put(uint64(st.V))
+	put(uint64(st.U))
+	put(uint64(st.D))
+	for _, xs := range [][]float64{st.Alpha, st.BetaPrior, st.DeltaPrior, st.BetaSum, st.DeltaSum, st.Tau,
+		st.Ndk, st.NdkSum, st.NkwdSum, st.NkudSum, st.NkwdVal, st.NkudVal} {
+		put(uint64(len(xs)))
+		for _, x := range xs {
+			put(math.Float64bits(x))
+		}
+	}
+	for _, xs := range [][]int64{st.NkwdPtr, st.NkwdIdx, st.NkudPtr, st.NkudIdx} {
+		put(uint64(len(xs)))
+		for _, x := range xs {
+			put(uint64(x))
+		}
+	}
+	put(uint64(len(st.DocOffsets)))
+	for _, x := range st.DocOffsets {
+		put(x)
+	}
+	put(uint64(len(st.DocBlob)))
+	h.Write(st.DocBlob)
+	put(uint64(len(st.DocTable)))
+	for _, x := range st.DocTable {
+		put(uint64(x))
+	}
+	return h.Sum64()
+}
+
+// TestUPMStateGolden pins every count a training and a fold-in leave
+// behind — word and URL counts and their totals included, which
+// TestUPMGolden and TestFoldInGolden do not read — to the bits the
+// map-backed counts produced.
+func TestUPMStateGolden(t *testing.T) {
+	const wantTrained, wantFolded uint64 = 0x63ebbc2687e64cbf, 0xfeba4d5b67846269
+	c := synthCorpus(t)
+	for _, procs := range []int{1, 4} {
+		m := trainAt(t, c, goldenCfg, procs)
+		loaded, err := UPMFromState(m.State())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, base := range map[string]*UPM{"trained": m, "loaded": loaded} {
+			if got := stateHash(base.State()); got != wantTrained {
+				t.Fatalf("GOMAXPROCS %d %s: state hash %#x, want %#x", procs, name, got, wantTrained)
+			}
+			f := base.Clone()
+			f.FoldIn("fold-new", c.Docs[0].Sessions, 20, 9)
+			f.FoldIn(c.Docs[1].UserID, c.Docs[2].Sessions, 20, 11)
+			if got := stateHash(f.State()); got != wantFolded {
+				t.Fatalf("GOMAXPROCS %d %s: folded state hash %#x, want %#x", procs, name, got, wantFolded)
+			}
+		}
+	}
+}
+
+// TestFoldInCloneWhileServing folds users into a clone while other
+// goroutines read the original, as LearnUser does beside live
+// requests; under -race any write the two share is reported.
+func TestFoldInCloneWhileServing(t *testing.T) {
+	c := synthCorpus(t)
+	m := trainAt(t, c, goldenCfg, 1)
+	loaded, err := UPMFromState(m.State())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, base := range []*UPM{m, loaded} {
+		want := stateHash(base.State())
+		stop := make(chan struct{})
+		var wg sync.WaitGroup
+		for r := 0; r < 2; r++ {
+			wg.Add(1)
+			go func(r int) {
+				defer wg.Done()
+				for i := 0; ; i++ {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					d := (i + r) % base.NumDocs()
+					_ = base.Theta(d)
+					_ = base.WordProb(d, i%base.K(), i%c.V())
+				}
+			}(r)
+		}
+		cl := base.Clone()
+		for i, doc := range c.Docs[:4] {
+			cl.FoldIn(doc.UserID, c.Docs[i+1].Sessions, 5, int64(i))
+			cl.FoldIn(fmt.Sprintf("new-%d", i), doc.Sessions, 5, int64(i))
+		}
+		close(stop)
+		wg.Wait()
+		if got := stateHash(base.State()); got != want {
+			t.Fatalf("fold-in on a clone changed the original: %#x, want %#x", got, want)
 		}
 	}
 }

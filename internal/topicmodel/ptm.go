@@ -69,15 +69,14 @@ func trainPTM(c *Corpus, cfg TrainConfig, withURLs bool) *PTM {
 				for e, ev := range sess.Events {
 					old := z[d][s][e]
 					m.addEvent(d, old, ev, -1)
+					seen := earlierEqual(ev.Words)
 					for k := 0; k < cfg.K; k++ {
 						lw := math.Log(m.ndk[d][k] + cfg.Alpha)
 						// Sequentially integrate the query's words
 						// against the topic's current counts.
 						wSum := m.nk[k]
-						bump := make(map[int]float64, len(ev.Words))
-						for _, w := range ev.Words {
-							lw += math.Log((m.nkw[k][w] + bump[w] + cfg.Beta) / (wSum + cfg.Beta*float64(m.v)))
-							bump[w]++
+						for i, w := range ev.Words {
+							lw += math.Log((m.nkw[k][w] + seen[i] + cfg.Beta) / (wSum + cfg.Beta*float64(m.v)))
 							wSum++
 						}
 						if m.withURLs && ev.URL != NoURL {

@@ -77,17 +77,15 @@ func TrainSSTM(c *Corpus, cfg TrainConfig) *SSTM {
 func (m *SSTM) sessionLogWeight(d, k int, sess Session) float64 {
 	lw := math.Log(m.ndk[d][k] + m.cfg.Alpha)
 	wSum := m.nk[k]
-	bumpW := make(map[int]float64)
-	for _, w := range sess.Words() {
-		lw += math.Log((m.nkw[k][w] + bumpW[w] + m.cfg.Beta) / (wSum + m.cfg.Beta*float64(m.v)))
-		bumpW[w]++
+	words := sess.Words()
+	for i, seen := range earlierEqual(words) {
+		lw += math.Log((m.nkw[k][words[i]] + seen + m.cfg.Beta) / (wSum + m.cfg.Beta*float64(m.v)))
 		wSum++
 	}
 	uSum := m.nkuS[k]
-	bumpU := make(map[int]float64)
-	for _, u := range sess.URLs() {
-		lw += math.Log((m.nku[k][u] + bumpU[u] + m.cfg.Delta) / (uSum + m.cfg.Delta*float64(m.u)))
-		bumpU[u]++
+	urls := sess.URLs()
+	for i, seen := range earlierEqual(urls) {
+		lw += math.Log((m.nku[k][urls[i]] + seen + m.cfg.Delta) / (uSum + m.cfg.Delta*float64(m.u)))
 		uSum++
 	}
 	return lw

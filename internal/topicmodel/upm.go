@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -30,28 +31,135 @@ import (
 type UPM struct {
 	cfg  UPMConfig
 	v, u int
-	// alpha[k], betaPrior[k][w], deltaPrior[k][u] are the learned
-	// hyperparameters.
+	// The learned hyperparameters, laid out as the snapshot image stores
+	// them: alpha[k], betaPrior[k*v+w], deltaPrior[k*u+u'], their per-topic
+	// sums, and tau[2k], tau[2k+1] as topic k's Beta(τ_k1, τ_k2)
+	// timestamp parameters. TrainUPM writes them; after it returns
+	// nothing does, so clones share them and a loaded model aliases the
+	// image.
 	alpha      []float64
-	betaPrior  [][]float64
-	deltaPrior [][]float64
-	betaSum    []float64 // Σ_w betaPrior[k][w]
-	deltaSum   []float64 // Σ_u deltaPrior[k][u]
-	// tau[k] are the per-topic Beta(τ_k1, τ_k2) timestamp parameters.
-	tau [][2]float64
-	// Counts: sessions per doc-topic; words/URLs per topic-doc.
-	ndk     [][]float64         // [d][k] session counts C_dk
-	ndkSum  []float64           // sessions per doc
-	nkwd    [][]map[int]float64 // [d][k] word counts C_kwd (sparse)
-	nkwdSum [][]float64         // [d][k] total word tokens
-	nkud    [][]map[int]float64 // [d][k] URL counts C_kud (sparse)
-	nkudSum [][]float64         // [d][k] total URL tokens
-	docID   map[string]int
+	betaPrior  []float64
+	deltaPrior []float64
+	betaSum    []float64 // Σ_w betaPrior[k*v+w]
+	deltaSum   []float64 // Σ_u deltaPrior[k*u+u]
+	tau        []float64
+	// docs holds every user document's counts; docID maps a user ID to
+	// its index in docs.
+	docs  []*upmDoc
+	docID map[string]int
+}
 
-	// flat, when non-nil, is the arena-backed read-only form (see
-	// flat.go): the map/slice fields above are empty and every serving
-	// accessor reads the flat arrays instead. Mutation paths thaw first.
-	flat *upmFlat
+// upmDoc is one user document's counts, in the layout the snapshot
+// image stores them: session and token totals per topic, and the word
+// and URL counts as CSR rows over the document's K topics.
+type upmDoc struct {
+	user    string
+	ndkSum  float64   // sessions in the document
+	ndk     []float64 // [k] session counts C_dk
+	nkwdSum []float64 // [k] word tokens
+	nkudSum []float64 // [k] URL tokens
+	words   countRows // [k][w] word counts C_kwd
+	urls    countRows // [k][u] URL counts C_kud
+}
+
+// newDoc returns an empty document that owns its arrays.
+func newDoc(user string, k int) *upmDoc {
+	sums := make([]float64, 3*k)
+	return &upmDoc{
+		user: user, ndk: sums[:k], nkwdSum: sums[k : 2*k], nkudSum: sums[2*k:],
+		words: countRows{ptr: make([]int64, k+1)},
+		urls:  countRows{ptr: make([]int64, k+1)},
+	}
+}
+
+// countRows is a sparse count matrix over a document's K topic rows:
+// row k holds ids idx[ptr[k]:ptr[k+1]] in ascending order, with their
+// nonzero counts in val. A loaded document's ptr is a window on the
+// image's row pointers and idx/val are the image's whole arrays; a
+// trained or folded-in document owns all three, and only such a
+// document is ever written.
+type countRows struct {
+	ptr, idx []int64
+	val      []float64
+}
+
+// row returns row k's ids and counts.
+func (c *countRows) row(k int) ([]int64, []float64) {
+	lo, hi := c.ptr[k], c.ptr[k+1]
+	return c.idx[lo:hi], c.val[lo:hi]
+}
+
+// at returns the count of id j in row k (0 when absent).
+func (c *countRows) at(k, j int) float64 {
+	ids, vals := c.row(k)
+	return countOf(ids, vals, j)
+}
+
+// countOf returns the count of id j in a row (0 when absent).
+func countOf(ids []int64, vals []float64, j int) float64 {
+	if p, ok := search(ids, j); ok {
+		return vals[p]
+	}
+	return 0
+}
+
+// search returns the position of id j in the ascending ids, or where
+// it would be inserted. A long row is halved down to a short run that
+// is then scanned: the scan mispredicts once, at its exit, where each
+// halving step mispredicts half the time.
+func search(ids []int64, j int) (int, bool) {
+	t, lo := int64(j), 0
+	for hi := len(ids); hi-lo > 8; {
+		if mid := int(uint(lo+hi) >> 1); ids[mid] < t {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	for lo < len(ids) && ids[lo] < t {
+		lo++
+	}
+	return lo, lo < len(ids) && ids[lo] == t
+}
+
+// add adds delta to the count of id j in row k, inserting the id when
+// it is absent. A count that drops to 0 stays in place until dropZeros
+// removes it, so a session moved out of and straight back into a topic
+// does not shift the row twice.
+func (c *countRows) add(k, j int, delta float64) {
+	lo := c.ptr[k]
+	i, ok := search(c.idx[lo:c.ptr[k+1]], j)
+	p := int(lo) + i
+	if ok {
+		c.val[p] += delta
+		return
+	}
+	c.idx = slices.Insert(c.idx, p, int64(j))
+	c.val = slices.Insert(c.val, p, delta)
+	for r := k + 1; r < len(c.ptr); r++ {
+		c.ptr[r]++
+	}
+}
+
+// dropZeros removes the zero counts from row k, restoring the rows to
+// nonzeros only.
+func (c *countRows) dropZeros(k int) {
+	lo, hi := int(c.ptr[k]), int(c.ptr[k+1])
+	n := lo
+	for p := lo; p < hi; p++ {
+		if c.val[p] != 0 {
+			c.idx[n], c.val[n] = c.idx[p], c.val[p]
+			n++
+		}
+	}
+	if n == hi {
+		return
+	}
+	c.idx = append(c.idx[:n], c.idx[hi:]...)
+	c.val = append(c.val[:n], c.val[hi:]...)
+	for r := k + 1; r < len(c.ptr); r++ {
+		c.ptr[r] -= int64(hi - n)
+	}
 }
 
 // UPMConfig tunes UPM training.
@@ -131,7 +239,7 @@ func TrainUPM(c *Corpus, cfg UPMConfig) *UPM {
 			flat[d][s] = flattenSession(sess)
 			k := docRngs[d].Intn(cfg.K)
 			z[d][s] = k
-			m.addSession(d, k, flat[d][s], 1)
+			m.addSession(m.docs[d], k, &flat[d][s], 1)
 		}
 	}
 
@@ -142,15 +250,16 @@ func TrainUPM(c *Corpus, cfg UPMConfig) *UPM {
 
 	lbeta := make([]float64, cfg.K)
 	sweepDoc := func(d int, logw []float64) {
-		for s, sess := range flat[d] {
-			old := z[d][s]
-			m.addSession(d, old, sess, -1)
+		doc := m.docs[d]
+		for s := range flat[d] {
+			sess, old := &flat[d][s], z[d][s]
+			m.addSession(doc, old, sess, -1)
 			for k := 0; k < cfg.K; k++ {
-				logw[k] = m.sessionLogWeight(d, k, sess, lbeta[k])
+				logw[k] = m.sessionLogWeight(doc, k, sess, lbeta[k])
 			}
 			k := numeric.SampleLogCategorical(docRngs[d], logw)
 			z[d][s] = k
-			m.addSession(d, k, sess, 1)
+			m.moveSession(doc, old, k, sess)
 		}
 	}
 
@@ -201,47 +310,33 @@ func parallelFor(n int, newBody func() func(i int)) {
 }
 
 func newUPM(c *Corpus, cfg UPMConfig) *UPM {
+	k := cfg.K
 	m := &UPM{
 		cfg: cfg, v: c.V(), u: c.U(),
-		alpha:      make([]float64, cfg.K),
-		betaPrior:  make([][]float64, cfg.K),
-		deltaPrior: make([][]float64, cfg.K),
-		betaSum:    make([]float64, cfg.K),
-		deltaSum:   make([]float64, cfg.K),
-		tau:        make([][2]float64, cfg.K),
-		ndk:        make([][]float64, len(c.Docs)),
-		ndkSum:     make([]float64, len(c.Docs)),
-		nkwd:       make([][]map[int]float64, len(c.Docs)),
-		nkwdSum:    make([][]float64, len(c.Docs)),
-		nkud:       make([][]map[int]float64, len(c.Docs)),
-		nkudSum:    make([][]float64, len(c.Docs)),
+		alpha:      make([]float64, k),
+		betaPrior:  make([]float64, k*c.V()),
+		deltaPrior: make([]float64, k*c.U()),
+		betaSum:    make([]float64, k),
+		deltaSum:   make([]float64, k),
+		tau:        make([]float64, 2*k),
+		docs:       make([]*upmDoc, len(c.Docs)),
 		docID:      make(map[string]int, len(c.Docs)),
 	}
-	for k := 0; k < cfg.K; k++ {
-		m.alpha[k] = cfg.InitAlpha
-		m.betaPrior[k] = make([]float64, m.v)
-		m.deltaPrior[k] = make([]float64, m.u)
-		for w := range m.betaPrior[k] {
-			m.betaPrior[k][w] = cfg.InitBeta
-		}
-		for u := range m.deltaPrior[k] {
-			m.deltaPrior[k][u] = cfg.InitDelta
-		}
-		m.betaSum[k] = cfg.InitBeta * float64(m.v)
-		m.deltaSum[k] = cfg.InitDelta * float64(m.u)
-		m.tau[k] = [2]float64{1, 1}
+	for kk := 0; kk < k; kk++ {
+		m.alpha[kk] = cfg.InitAlpha
+		m.betaSum[kk] = cfg.InitBeta * float64(m.v)
+		m.deltaSum[kk] = cfg.InitDelta * float64(m.u)
+		m.tau[2*kk], m.tau[2*kk+1] = 1, 1
+	}
+	for i := range m.betaPrior {
+		m.betaPrior[i] = cfg.InitBeta
+	}
+	for i := range m.deltaPrior {
+		m.deltaPrior[i] = cfg.InitDelta
 	}
 	for d, doc := range c.Docs {
 		m.docID[doc.UserID] = d
-		m.ndk[d] = make([]float64, cfg.K)
-		m.nkwd[d] = make([]map[int]float64, cfg.K)
-		m.nkwdSum[d] = make([]float64, cfg.K)
-		m.nkud[d] = make([]map[int]float64, cfg.K)
-		m.nkudSum[d] = make([]float64, cfg.K)
-		for k := 0; k < cfg.K; k++ {
-			m.nkwd[d][k] = make(map[int]float64)
-			m.nkud[d][k] = make(map[int]float64)
-		}
+		m.docs[d] = newDoc(doc.UserID, k)
 	}
 	return m
 }
@@ -270,36 +365,44 @@ func flattenSession(s Session) flatSession {
 	return fs
 }
 
-// earlierEqual returns, per position, the number of earlier equal tokens.
+// earlierEqual returns, per position, the number of earlier equal
+// tokens. A session holds a handful of tokens, so a scan of the prefix
+// is cheaper than a map.
 func earlierEqual(tokens []int) []float64 {
 	if len(tokens) == 0 {
 		return nil
 	}
 	seen := make([]float64, len(tokens))
-	count := make(map[int]float64, len(tokens))
 	for i, t := range tokens {
-		seen[i] = count[t]
-		count[t]++
+		for _, prev := range tokens[:i] {
+			if prev == t {
+				seen[i]++
+			}
+		}
 	}
 	return seen
 }
 
-func (m *UPM) addSession(d, k int, sess flatSession, delta float64) {
-	m.ndk[d][k] += delta
-	m.ndkSum[d] += delta
+// moveSession adds the session, just removed from topic old, to topic
+// k, and drops the zero counts its removal left in row old.
+func (m *UPM) moveSession(doc *upmDoc, old, k int, sess *flatSession) {
+	m.addSession(doc, k, sess, 1)
+	if k != old {
+		doc.words.dropZeros(old)
+		doc.urls.dropZeros(old)
+	}
+}
+
+func (m *UPM) addSession(doc *upmDoc, k int, sess *flatSession, delta float64) {
+	doc.ndk[k] += delta
+	doc.ndkSum += delta
 	for _, w := range sess.words {
-		m.nkwd[d][k][w] += delta
-		if m.nkwd[d][k][w] == 0 {
-			delete(m.nkwd[d][k], w)
-		}
-		m.nkwdSum[d][k] += delta
+		doc.words.add(k, w, delta)
+		doc.nkwdSum[k] += delta
 	}
 	for _, u := range sess.urls {
-		m.nkud[d][k][u] += delta
-		if m.nkud[d][k][u] == 0 {
-			delete(m.nkud[d][k], u)
-		}
-		m.nkudSum[d][k] += delta
+		doc.urls.add(k, u, delta)
+		doc.nkudSum[k] += delta
 	}
 }
 
@@ -309,19 +412,22 @@ func (m *UPM) addSession(d, k int, sess flatSession, delta float64) {
 // under φ_kd (prior β_k), likewise for URLs under Ω_kd (prior δ_k), and
 // the Beta timestamp density. lbeta is log B(τ_k), from logBetaTau;
 // the density is numeric.BetaLogPDF's expression, term for term.
-func (m *UPM) sessionLogWeight(d, k int, sess flatSession, lbeta float64) float64 {
-	lw := math.Log(m.ndk[d][k] + m.alpha[k])
-	wSum := m.nkwdSum[d][k]
+func (m *UPM) sessionLogWeight(doc *upmDoc, k int, sess *flatSession, lbeta float64) float64 {
+	lw := math.Log(doc.ndk[k] + m.alpha[k])
+	beta, delta := m.betaPrior[k*m.v:(k+1)*m.v], m.deltaPrior[k*m.u:(k+1)*m.u]
+	ids, counts := doc.words.row(k)
+	wSum := doc.nkwdSum[k]
 	for i, w := range sess.words {
-		lw += math.Log((m.nkwd[d][k][w] + sess.wordsSeen[i] + m.betaPrior[k][w]) / (wSum + m.betaSum[k]))
+		lw += math.Log((countOf(ids, counts, w) + sess.wordsSeen[i] + beta[w]) / (wSum + m.betaSum[k]))
 		wSum++
 	}
-	uSum := m.nkudSum[d][k]
+	ids, counts = doc.urls.row(k)
+	uSum := doc.nkudSum[k]
 	for i, u := range sess.urls {
-		lw += math.Log((m.nkud[d][k][u] + sess.urlsSeen[i] + m.deltaPrior[k][u]) / (uSum + m.deltaSum[k]))
+		lw += math.Log((countOf(ids, counts, u) + sess.urlsSeen[i] + delta[u]) / (uSum + m.deltaSum[k]))
 		uSum++
 	}
-	lw += (m.tau[k][0]-1)*sess.logT + (m.tau[k][1]-1)*sess.log1mT - lbeta
+	lw += (m.tau[2*k]-1)*sess.logT + (m.tau[2*k+1]-1)*sess.log1mT - lbeta
 	return lw
 }
 
@@ -329,7 +435,7 @@ func (m *UPM) sessionLogWeight(d, k int, sess flatSession, lbeta float64) float6
 // k's timestamp density, which only changes when τ is refitted.
 func (m *UPM) logBetaTau(lbeta []float64) {
 	for k := range lbeta {
-		lbeta[k] = numeric.LogBeta(m.tau[k][0], m.tau[k][1])
+		lbeta[k] = numeric.LogBeta(m.tau[2*k], m.tau[2*k+1])
 	}
 }
 
@@ -344,12 +450,11 @@ func (m *UPM) refitTau(c *Corpus, z [][]int) {
 		}
 	}
 	for k := range samples {
-		if len(samples[k]) < 2 {
-			m.tau[k] = [2]float64{1, 1}
-			continue
+		a, b := 1.0, 1.0
+		if len(samples[k]) >= 2 {
+			a, b = numeric.FitBetaMoments(numeric.Mean(samples[k]), numeric.Variance(samples[k]))
 		}
-		a, b := numeric.FitBetaMoments(numeric.Mean(samples[k]), numeric.Variance(samples[k]))
-		m.tau[k] = [2]float64{a, b}
+		m.tau[2*k], m.tau[2*k+1] = a, b
 	}
 }
 
@@ -360,35 +465,21 @@ func (m *UPM) Name() string { return "UPM" }
 func (m *UPM) K() int { return m.cfg.K }
 
 // NumDocs returns the number of trained user documents.
-func (m *UPM) NumDocs() int {
-	if f := m.flat; f != nil {
-		return f.d
-	}
-	return len(m.ndk)
-}
+func (m *UPM) NumDocs() int { return len(m.docs) }
 
 // DocOf returns the document index of a user ID.
 func (m *UPM) DocOf(userID string) (int, bool) {
-	if f := m.flat; f != nil {
-		return f.docs.Lookup(userID)
-	}
 	d, ok := m.docID[userID]
 	return d, ok
 }
 
 // Theta returns the user's topic profile θ_d (Eq. 30).
 func (m *UPM) Theta(d int) []float64 {
+	doc := m.docs[d]
 	theta := make([]float64, m.cfg.K)
-	if f := m.flat; f != nil {
-		denom := f.ndkSum[d] + numeric.Sum(f.alpha)
-		for k := range theta {
-			theta[k] = (f.ndk[d*f.k+k] + f.alpha[k]) / denom
-		}
-		return theta
-	}
-	denom := m.ndkSum[d] + numeric.Sum(m.alpha)
+	denom := doc.ndkSum + numeric.Sum(m.alpha)
 	for k := range theta {
-		theta[k] = (m.ndk[d][k] + m.alpha[k]) / denom
+		theta[k] = (doc.ndk[k] + m.alpha[k]) / denom
 	}
 	return theta
 }
@@ -397,58 +488,34 @@ func (m *UPM) Theta(d int) []float64 {
 // p(w | k, d) = (C_kwd + β_kw) / (C_k·d + Σβ_k): the user's own usage
 // smoothed toward the globally learned topic content.
 func (m *UPM) WordProb(d, k, w int) float64 {
-	if f := m.flat; f != nil {
-		r := d*f.k + k
-		return (csrAt(f.nkwdPtr, f.nkwdIdx, f.nkwdVal, r, w) + f.betaPrior[k*f.v+w]) /
-			(f.nkwdSum[r] + f.betaSum[k])
-	}
-	return (m.nkwd[d][k][w] + m.betaPrior[k][w]) / (m.nkwdSum[d][k] + m.betaSum[k])
+	doc := m.docs[d]
+	return (doc.words.at(k, w) + m.betaPrior[k*m.v+w]) / (doc.nkwdSum[k] + m.betaSum[k])
 }
 
 // PriorWordProb returns the prior-mean word probability β_kw / Σβ_k —
 // the literal B(n+β)/B(β) factor of the paper's Eq. 31 for a
 // single-occurrence word.
 func (m *UPM) PriorWordProb(k, w int) float64 {
-	if f := m.flat; f != nil {
-		return f.betaPrior[k*f.v+w] / f.betaSum[k]
-	}
-	return m.betaPrior[k][w] / m.betaSum[k]
+	return m.betaPrior[k*m.v+w] / m.betaSum[k]
 }
 
 // URLProb returns the posterior-mean per-user topic–URL probability.
 func (m *UPM) URLProb(d, k, u int) float64 {
-	if f := m.flat; f != nil {
-		r := d*f.k + k
-		return (csrAt(f.nkudPtr, f.nkudIdx, f.nkudVal, r, u) + f.deltaPrior[k*f.u+u]) /
-			(f.nkudSum[r] + f.deltaSum[k])
-	}
-	return (m.nkud[d][k][u] + m.deltaPrior[k][u]) / (m.nkudSum[d][k] + m.deltaSum[k])
+	doc := m.docs[d]
+	return (doc.urls.at(k, u) + m.deltaPrior[k*m.u+u]) / (doc.nkudSum[k] + m.deltaSum[k])
 }
 
 // Tau returns topic k's Beta timestamp parameters.
-func (m *UPM) Tau(k int) (a, b float64) {
-	if f := m.flat; f != nil {
-		return f.tau[2*k], f.tau[2*k+1]
-	}
-	return m.tau[k][0], m.tau[k][1]
-}
+func (m *UPM) Tau(k int) (a, b float64) { return m.tau[2*k], m.tau[2*k+1] }
 
 // Alpha returns the learned document-mixture hyperparameters.
-func (m *UPM) Alpha() []float64 {
-	if f := m.flat; f != nil {
-		return numeric.Clone(f.alpha)
-	}
-	return numeric.Clone(m.alpha)
-}
+func (m *UPM) Alpha() []float64 { return numeric.Clone(m.alpha) }
 
 // TopWords returns the n highest-probability word IDs of topic k under
 // the LEARNED global prior β_k (the shared topic content), most
 // probable first — the standard topic-interpretation view.
 func (m *UPM) TopWords(k, n int) []int {
-	if f := m.flat; f != nil {
-		return numeric.TopK(f.betaPrior[k*f.v:(k+1)*f.v], n)
-	}
-	return numeric.TopK(m.betaPrior[k], n)
+	return numeric.TopK(m.betaPrior[k*m.v:(k+1)*m.v], n)
 }
 
 // TopWordsFor returns the n words of topic k the USER d emphasizes

@@ -2,7 +2,6 @@ package topicmodel
 
 import (
 	"math"
-	"sort"
 
 	"repro/internal/numeric"
 )
@@ -21,12 +20,12 @@ func (m *UPM) optimizeHyperparameters() {
 		for k := range grad {
 			grad[k] = 0
 		}
-		for d := range m.ndk {
-			nd := m.ndkSum[d]
+		for _, doc := range m.docs {
+			nd := doc.ndkSum
 			v += numeric.Lgamma(sumA) - numeric.Lgamma(sumA+nd)
 			dig := numeric.Digamma(sumA) - numeric.Digamma(sumA+nd)
 			for k := 0; k < m.cfg.K; k++ {
-				c := m.ndk[d][k]
+				c := doc.ndk[k]
 				v += numeric.Lgamma(alpha[k]+c) - numeric.Lgamma(alpha[k])
 				grad[k] += numeric.Digamma(alpha[k]+c) - numeric.Digamma(alpha[k]) + dig
 			}
@@ -43,47 +42,28 @@ func (m *UPM) optimizeHyperparameters() {
 	// parallel with the same result as in sequence.
 	parallelFor(m.cfg.K, func() func(k int) {
 		return func(k int) {
-			m.optimizeEmissionPrior(opt, m.betaPrior[k], m.nkwd, m.nkwdSum, k)
+			beta := m.betaPrior[k*m.v : (k+1)*m.v]
+			delta := m.deltaPrior[k*m.u : (k+1)*m.u]
+			m.optimizeEmissionPrior(opt, beta, k, func(doc *upmDoc) (*countRows, float64) {
+				return &doc.words, doc.nkwdSum[k]
+			})
 			if m.u > 0 {
-				m.optimizeEmissionPrior(opt, m.deltaPrior[k], m.nkud, m.nkudSum, k)
+				m.optimizeEmissionPrior(opt, delta, k, func(doc *upmDoc) (*countRows, float64) {
+					return &doc.urls, doc.nkudSum[k]
+				})
 			}
-			m.betaSum[k] = numeric.Sum(m.betaPrior[k])
-			m.deltaSum[k] = numeric.Sum(m.deltaPrior[k])
+			m.betaSum[k] = numeric.Sum(beta)
+			m.deltaSum[k] = numeric.Sum(delta)
 		}
 	})
 }
 
-// countRow is one document's topic-k emission counts with the ids in
-// ascending order, so the objective sums in an order that does not
-// depend on map iteration.
-type countRow struct {
-	ids  []int
-	vals []float64
-	sum  float64
-}
-
 // optimizeEmissionPrior maximizes Σ_d [ log DirMult(C_k·d | prior) ] in
-// topic k's prior vector, in place; counts and sums are the per-(d, k)
-// word or URL counts and their totals.
-func (m *UPM) optimizeEmissionPrior(opt numeric.LBFGS, prior []float64, counts [][]map[int]float64, sums [][]float64, k int) {
-	// Documents with no tokens on topic k contribute Γ-ratios that
-	// cancel, so they are left out.
-	var rows []countRow
-	for d := range counts {
-		if sums[d][k] == 0 {
-			continue
-		}
-		c := counts[d][k]
-		r := countRow{ids: make([]int, 0, len(c)), vals: make([]float64, len(c)), sum: sums[d][k]}
-		for w := range c {
-			r.ids = append(r.ids, w)
-		}
-		sort.Ints(r.ids)
-		for i, w := range r.ids {
-			r.vals[i] = c[w]
-		}
-		rows = append(rows, r)
-	}
+// topic k's prior vector, in place; counts returns a document's word or
+// URL counts and their topic-k total. The objective reads each
+// document's row k in place: its ids are ascending, so the sums run in
+// a fixed order.
+func (m *UPM) optimizeEmissionPrior(opt numeric.LBFGS, prior []float64, k int, counts func(*upmDoc) (*countRows, float64)) {
 
 	// Gamma(a0, b0) prior on every coordinate (MAP instead of bare MLE):
 	// the likelihood alone is maximized by driving coordinates of words
@@ -102,12 +82,18 @@ func (m *UPM) optimizeEmissionPrior(opt numeric.LBFGS, prior []float64, counts [
 		}
 		// Gradient terms that touch every coordinate are accumulated
 		// once per document; per-word terms only touch observed words.
+		// Documents with no tokens on topic k contribute Γ-ratios that
+		// cancel, so they are left out.
 		commonGrad := 0.0
-		for _, r := range rows {
-			v += lgSumP - numeric.Lgamma(sumP+r.sum)
-			commonGrad += digSumP - numeric.Digamma(sumP+r.sum)
-			for i, w := range r.ids {
-				c := r.vals[i]
+		for _, doc := range m.docs {
+			rows, sum := counts(doc)
+			if sum == 0 {
+				continue
+			}
+			v += lgSumP - numeric.Lgamma(sumP+sum)
+			commonGrad += digSumP - numeric.Digamma(sumP+sum)
+			for i := rows.ptr[k]; i < rows.ptr[k+1]; i++ {
+				w, c := rows.idx[i], rows.val[i]
 				v += numeric.Lgamma(p[w]+c) - numeric.Lgamma(p[w])
 				grad[w] += numeric.Digamma(p[w]+c) - numeric.Digamma(p[w])
 			}

@@ -202,9 +202,9 @@ func upmFingerprint(m *UPM) uint64 {
 		put(m.Theta(d)...)
 	}
 	for k := 0; k < m.K(); k++ {
-		put(m.betaPrior[k]...)
-		put(m.deltaPrior[k]...)
-		put(m.tau[k][0], m.tau[k][1])
+		put(m.betaPrior[k*m.v : (k+1)*m.v]...)
+		put(m.deltaPrior[k*m.u : (k+1)*m.u]...)
+		put(m.Tau(k))
 	}
 	put(m.alpha...)
 	return h.Sum64()
